@@ -16,7 +16,11 @@ tier, which is the zero-of-the-ReLU-cost criterion the search targets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     BudgetError,
@@ -25,8 +29,8 @@ from .errors import (
     UndefinedStrengthError,
     UnknownArgumentError,
 )
-from .graph import QBAG
-from .semantics import SemanticsSpec, final_strengths
+from .graph import QBAG, reject_constant
+from .semantics import SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix, final_strengths
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,11 @@ class StrengthChange:
 
     entries: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for x, v in self.entries.items():
+            if not math.isfinite(v):
+                raise InvalidChangeError(f"entry for {x!r} must be finite, got {v!r}")
+
     @property
     def domain(self) -> frozenset[str]:
         return frozenset(self.entries)
@@ -115,12 +124,15 @@ EMPTY_CHANGE = StrengthChange({})
 
 def change_from_json(data: str | bytes) -> StrengthChange:
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid strength change JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"changes"} or not isinstance(doc["changes"], dict):
         raise GraphFormatError('strength change document must be {"changes": {...}}')
-    return StrengthChange({str(k): float(v) for k, v in doc["changes"].items()})
+    try:
+        return StrengthChange({str(k): float(v) for k, v in doc["changes"].items()})
+    except (TypeError, ValueError, InvalidChangeError) as exc:
+        raise GraphFormatError(f"bad strength change entry: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -139,23 +151,72 @@ class ExplanationQuery:
             raise UnknownArgumentError(f"query names unknown arguments: {sorted(missing)}")
 
 
-def _topic_strengths(g: QBAG, spec: SemanticsSpec, topics) -> dict[str, float]:
+def induced_ordering(g: QBAG, spec: SemanticsSpec, topics) -> set[tuple[str, str]]:
+    """The final-strength preorder on `topics`: all (x, y) with sigma(x) <= sigma(y)."""
+    topics = sorted(set(topics))
     sigma = final_strengths(g, spec)
-    out = {}
     for x in topics:
         if x not in sigma:
             raise UnknownArgumentError(f"unknown argument id: {x!r}")
         if sigma[x] is None:
             raise UndefinedStrengthError(f"final strength of {x!r} is undefined")
-        out[x] = sigma[x]
-    return out
-
-
-def induced_ordering(g: QBAG, spec: SemanticsSpec, topics) -> set[tuple[str, str]]:
-    """The final-strength preorder on `topics`: all (x, y) with sigma(x) <= sigma(y)."""
-    topics = sorted(set(topics))
-    sigma = _topic_strengths(g, spec, topics)
     return {(x, y) for x in topics for y in topics if sigma[x] <= sigma[y]}
+
+
+class OrderingRule:
+    """The one order check on final strengths, shared by explanation checks,
+    the oracle and the search. Topic pairs become index arrays into a
+    strength matrix of shape (n_arguments, batch): cross-tier pairs as
+    (weak, strong), weak being the lower tier, same-tier pairs as (tie_a, tie_b).
+    """
+
+    def __init__(self, index: Mapping[str, int], ordering: DesiredOrdering):
+        rank = ordering.tier_of()
+        topics = sorted(rank)
+        missing = [x for x in topics if x not in index]
+        if missing:
+            raise UnknownArgumentError(f"unknown argument id: {missing[0]!r}")
+        self.topics = np.array([index[x] for x in topics], dtype=int)
+        tier = np.array([rank[x] for x in topics], dtype=int)
+        i, j = np.triu_indices(len(topics), 1)
+        tie, swap = tier[i] == tier[j], tier[i] > tier[j]
+        self.weak = self.topics[np.where(swap, j, i)[~tie]]
+        self.strong = self.topics[np.where(swap, i, j)[~tie]]
+        self.tie_a, self.tie_b = self.topics[i[tie]], self.topics[j[tie]]
+
+    def costs(self, sigma: np.ndarray) -> np.ndarray:
+        """Per-column order-violation cost, the batched form of `relu_cost`:
+        max(0, sigma(weak) - sigma(strong)) per cross-tier pair plus
+        |sigma(a) - sigma(b)| per same-tier pair."""
+        out = np.maximum(0.0, sigma[self.weak] - sigma[self.strong]).sum(axis=0)
+        if self.tie_a.size:
+            out = out + np.abs(sigma[self.tie_a] - sigma[self.tie_b]).sum(axis=0)
+        return out
+
+    def holds(self, sigma: np.ndarray, mode: str = "exact", tolerance: float = 0.0) -> np.ndarray:
+        """Per-column verdict. weak: no lower-tier topic is strictly stronger
+        than a higher-tier one. exact: for every topic pair, sigma(x) <=
+        sigma(y) + tolerance holds iff tier(x) <= tier(y)."""
+        lo, hi = sigma[self.weak], sigma[self.strong]
+        if mode == "weak":
+            return (lo <= hi).all(axis=0)
+        if mode != "exact":
+            raise ValueError(f"unknown satisfaction mode: {mode!r}")
+        a, b = sigma[self.tie_a], sigma[self.tie_b]
+        apart = (lo <= hi + tolerance) & ~(hi <= lo + tolerance)
+        tied = (a <= b + tolerance) & (b <= a + tolerance)
+        return apart.all(axis=0) & tied.all(axis=0)
+
+
+def _verdict(plan, spec: SemanticsSpec, ordering: DesiredOrdering, tau: np.ndarray, mode: str, tolerance: float) -> bool:
+    """Verdict for one base-score column `tau` evaluated on `plan`."""
+    rule = OrderingRule(plan.index, ordering)
+    check_scores_in_domain(plan, spec, tau)
+    sigma, defined = evaluate_matrix(plan, spec, tau)
+    undefined = [plan.ids[i] for i in rule.topics if not defined[i, 0]]
+    if undefined:
+        raise UndefinedStrengthError(f"final strength of {undefined[0]!r} is undefined")
+    return bool(rule.holds(sigma, mode, tolerance)[0])
 
 
 def satisfies(
@@ -171,24 +232,8 @@ def satisfies(
     (tolerance widens what counts as a tie; the default 0.0 compares the
     computed strengths directly). weak: ties across tiers are allowed.
     """
-    sigma = _topic_strengths(g, spec, ordering.topic_set)
-    rank = ordering.tier_of()
-    topics = sorted(sigma)
-    if mode == "weak":
-        return all(
-            sigma[x] <= sigma[y]
-            for x in topics
-            for y in topics
-            if rank[x] < rank[y]
-        )
-    if mode != "exact":
-        raise ValueError(f"unknown satisfaction mode: {mode!r}")
-    for x in topics:
-        for y in topics:
-            holds = sigma[x] <= sigma[y] + tolerance
-            if (rank[x] <= rank[y]) != holds:
-                return False
-    return True
+    plan = compile_graph(g)
+    return _verdict(plan, spec, ordering, plan.tau[:, None], mode, tolerance)
 
 
 def validate_change(g: QBAG, change: StrengthChange, domain=None) -> None:
@@ -228,8 +273,12 @@ def is_explanation(
     satisfies the desired ordering."""
     if not change.domain <= query.mutable:
         return False
-    updated = apply_change(query.graph, change, query.semantics.domain)
-    return satisfies(updated, query.semantics, query.ordering, mode, tolerance)
+    validate_change(query.graph, change, query.semantics.domain)
+    plan = compile_graph(query.graph)
+    tau = plan.tau.copy()
+    for x, v in change.entries.items():
+        tau[plan.index[x]] = v
+    return _verdict(plan, query.semantics, query.ordering, tau[:, None], mode, tolerance)
 
 
 def is_epsilon_approximate(

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explanation import DesiredOrdering, ordering_from_tiers
+from .explanation import DesiredOrdering, OrderingRule, ordering_from_tiers
 from .graph import QBAG, make_qbag
-from .semantics import DFQUAD, SemanticsSpec, final_strengths
+from .semantics import DFQUAD, SemanticsSpec, compile_graph, evaluate_matrix
 
 MUTABLE_MODES = ("first", "intermediate", "first_and_intermediate", "all", "constrained")
 
@@ -137,21 +137,21 @@ def _generate(spec: GenSpec) -> GeneratedInstance:
 
     graph = make_qbag(scores, attacks, supports)
     topics = layers[-1]
+    plan = compile_graph(graph)
+    strengths, _ = evaluate_matrix(plan, spec.semantics, plan.tau[:, None])  # layered: acyclic
     if spec.target == "permuted":
         # A target the graph already realizes would make every search trivially
         # succeed, so redraw until the permutation disagrees with the current
         # strengths (always immediate in practice; ties are measure zero).
-        sigma = final_strengths(graph, spec.semantics)
         perm = rng.permutation(len(topics))
-        if len(topics) > 1:
-            for _ in range(1000):
-                achieved = [sigma[topics[i]] for i in perm]
-                if any(x > y for x, y in zip(achieved, achieved[1:])):
-                    break
-                perm = rng.permutation(len(topics))
         ordering = ordering_from_tiers([[topics[i]] for i in perm])
+        for _ in range(1000 if len(topics) > 1 else 0):
+            if not OrderingRule(plan.index, ordering).holds(strengths, "weak")[0]:
+                break
+            perm = rng.permutation(len(topics))
+            ordering = ordering_from_tiers([[topics[i]] for i in perm])
     else:
-        sigma = final_strengths(graph, spec.semantics)
+        sigma = {a: float(strengths[plan.index[a], 0]) for a in topics}
         ranked = sorted(topics, key=lambda a: (sigma[a], a))
         tiers: list[list[str]] = []
         for a in ranked:

@@ -8,8 +8,8 @@ kept sorted by id so iteration order is deterministic.
 
 from __future__ import annotations
 
-import heapq
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -58,8 +58,8 @@ def make_qbag(
 ) -> QBAG:
     """Validate and build a graph.
 
-    Rejects empty/non-string ids, non-numeric scores, edges with unknown
-    endpoints, and any edge present in both relations.
+    Rejects empty/non-string ids, non-numeric or non-finite scores, edges
+    with unknown endpoints, and any edge present in both relations.
     """
     scores: dict[str, float] = {}
     for arg in sorted(base_scores):
@@ -68,6 +68,8 @@ def make_qbag(
         value = base_scores[arg]
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise GraphFormatError(f"base score of {arg!r} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise GraphFormatError(f"base score of {arg!r} must be finite, got {value!r}")
         scores[arg] = float(value)
 
     att = frozenset((str(a), str(b)) for a, b in attacks)
@@ -137,39 +139,34 @@ def restrict(g: QBAG, keep: Iterable[str]) -> QBAG:
 
 def topological_order(g: QBAG) -> list[str] | None:
     """Arguments ordered so every edge goes forward, or None if the graph
-    is cyclic. Ties are broken by id, so the order is deterministic."""
-    indeg = {a: 0 for a in g.arguments}
-    succ = successors_map(g)
-    for _, b in g.edges():
-        indeg[b] += 1
-    ready = [a for a in g.arguments if indeg[a] == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        x = heapq.heappop(ready)
-        order.append(x)
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                heapq.heappush(ready, y)
-    if len(order) != len(g.arguments):
-        return None
-    return order
+    is cyclic: the topological levels in turn, each sorted by id."""
+    levels = topological_levels(g)
+    return None if levels is None else [a for level in levels for a in level]
 
 
 def topological_levels(g: QBAG) -> list[list[str]] | None:
     """Group arguments by longest-path depth (parents always in earlier
-    levels), or None if cyclic."""
-    order = topological_order(g)
-    if order is None:
+    levels), each level sorted by id, or None if cyclic. Kahn's algorithm
+    peeling whole frontiers: an argument's round is its depth."""
+    succ: dict[str, list[str]] = {a: [] for a in g.arguments}
+    indeg = dict.fromkeys(g.arguments, 0)
+    for edges in (g.attacks, g.supports):
+        for a, b in edges:
+            succ[a].append(b)
+            indeg[b] += 1
+    levels: list[list[str]] = []
+    frontier = [a for a in g.arguments if indeg[a] == 0]
+    while frontier:
+        levels.append(frontier)
+        nxt = []
+        for x in frontier:
+            for y in succ[x]:
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    nxt.append(y)
+        frontier = sorted(nxt)
+    if sum(map(len, levels)) != len(g.arguments):
         return None
-    par = parents_map(g)
-    depth: dict[str, int] = {}
-    for x in order:
-        depth[x] = 1 + max((depth[p] for p in par[x]), default=-1)
-    levels: list[list[str]] = [[] for _ in range(max(depth.values(), default=-1) + 1)]
-    for x in order:
-        levels[depth[x]].append(x)
     return levels
 
 
@@ -188,6 +185,12 @@ def _parse_edges(raw: object, label: str) -> list[Edge]:
     return edges
 
 
+def reject_constant(name: str):
+    """json.loads parse_constant hook: the literals NaN, Infinity and
+    -Infinity are not valid scores."""
+    raise GraphFormatError(f"non-finite number {name} in JSON document")
+
+
 def parse_qbag(data: bytes | str) -> QBAG:
     """Parse the JSON graph document.
 
@@ -198,7 +201,7 @@ def parse_qbag(data: bytes | str) -> QBAG:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -14,14 +14,13 @@ import csv
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from scipy.stats import ConstantInputWarning, kendalltau, spearmanr
 
 from .explanation import DesiredOrdering, ExplanationQuery, amount_of_change
 from .generators import GenSpec, LayerStructure, generate_batch, mutable_preset
-from .graph import QBAG
 from .search import SearchConfig, heuristic_search
 from .semantics import builtin_semantics, final_strengths
 
@@ -130,13 +129,7 @@ def run_graph(
     outcome = heuristic_search(query, search)
     elapsed = time.perf_counter() - started
 
-    graph_after = QBAG(
-        instance.graph.arguments,
-        {a: outcome.final_scores[a] for a in instance.graph.arguments},
-        instance.graph.attacks,
-        instance.graph.supports,
-    )
-    sigma = final_strengths(graph_after, spec)
+    sigma = final_strengths(replace(instance.graph, base_scores=outcome.final_scores), spec)
     kendall = kendall_tau(instance.ordering, sigma)
     spearman = spearman_rho(instance.ordering, sigma)
 

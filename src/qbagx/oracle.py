@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .explanation import ExplanationQuery, StrengthChange, amount_of_change
+from .explanation import ExplanationQuery, OrderingRule, StrengthChange, amount_of_change
 from .semantics import check_scores_in_domain, compile_graph, evaluate_matrix
 
 
@@ -29,6 +29,9 @@ class GridSpec:
     max_points: int = 2_000_000  # cap on enumerated assignments
 
     def __post_init__(self):
+        for bound in (self.step, self.lower, self.upper):
+            if bound is not None and not math.isfinite(bound):
+                raise ValueError("grid step and bounds must be finite")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
         if self.max_mutable < 0:
@@ -49,29 +52,6 @@ def _grid_values(grid: GridSpec, domain) -> np.ndarray:
         raise ValueError("grid needs explicit lower/upper bounds for an unbounded domain")
     count = int(np.floor((upper - lower) / grid.step + 1e-9)) + 1
     return lower + grid.step * np.arange(count)
-
-
-def _satisfaction_mask(sigma: np.ndarray, plan, ordering, mode: str) -> np.ndarray:
-    rank = ordering.tier_of()
-    topics = sorted(rank)
-    ok = np.ones(sigma.shape[1], dtype=bool)
-    for i, x in enumerate(topics):
-        xi = plan.index[x]
-        for y in topics[i + 1:]:
-            yi = plan.index[y]
-            if mode == "weak":
-                if rank[x] < rank[y]:
-                    ok &= sigma[xi] <= sigma[yi]
-                elif rank[y] < rank[x]:
-                    ok &= sigma[yi] <= sigma[xi]
-            else:
-                if rank[x] < rank[y]:
-                    ok &= sigma[xi] < sigma[yi]
-                elif rank[y] < rank[x]:
-                    ok &= sigma[yi] < sigma[xi]
-                else:
-                    ok &= sigma[xi] == sigma[yi]
-    return ok
 
 
 def brute_force_search(query: ExplanationQuery, grid: GridSpec | None = None, mode: str = "weak") -> OracleResult:
@@ -105,7 +85,7 @@ def brute_force_search(query: ExplanationQuery, grid: GridSpec | None = None, mo
         for a, vals in zip(m_ids, mesh):
             batch[plan.index[a]] = vals.reshape(-1)
     sigma, defined = evaluate_matrix(plan, spec, batch)
-    ok = _satisfaction_mask(sigma, plan, query.ordering, mode) & defined.all(axis=0)
+    ok = OrderingRule(plan.index, query.ordering).holds(sigma, mode) & defined.all(axis=0)
     if not ok.any():
         return OracleResult(None, float("inf"), True)
 

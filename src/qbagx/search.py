@@ -1,25 +1,26 @@
 """Iterative heuristic search for strength change explanations.
 
-Each iteration evaluates the order-violation cost, estimates its gradient
-with respect to every mutable base score by finite differences (one batched
-strength evaluation covers the unperturbed point plus all perturbations),
-and applies an Adam update clamped to the strength domain. Success means
-the cost dropped to the configured tolerance; the winning assignment is
-re-verified with a fresh evaluation before it is returned.
+The graph compiles once per search. Each iteration evaluates the
+order-violation cost, estimates its gradient with respect to every mutable
+base score by finite differences (one batched strength evaluation covers
+the unperturbed point plus all perturbations), and applies an Adam update
+clamped to the strength domain. Success means the cost dropped to the
+configured tolerance; the winning assignment is re-verified with a fresh
+width-1 evaluation on the same plan before it is returned.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import UndefinedStrengthError
-from .explanation import DesiredOrdering, ExplanationQuery, StrengthChange, satisfies
-from .graph import QBAG
-from .semantics import GraphPlan, SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix
+from .explanation import DesiredOrdering, ExplanationQuery, OrderingRule, StrengthChange
+from .semantics import SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,10 @@ class SearchConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
+        for name in ("perturbation", "alpha", "alpha_decay", "beta1", "beta2", "adam_eps",
+                     "cost_tolerance", "restart_jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.perturbation <= 0:
@@ -94,6 +99,7 @@ def relu_cost(strengths: Mapping[str, float], ordering: DesiredOrdering) -> floa
     than y, max(0, sigma(y) - sigma(x)); same-tier pairs contribute their
     absolute strength difference (so single-tier orderings demand equality).
     Zero exactly when the ordering is weakly satisfied with same-tier ties.
+    The scalar reference for OrderingRule.costs.
     """
     rank = ordering.tier_of()
     topics = sorted(rank)
@@ -112,37 +118,7 @@ def relu_cost(strengths: Mapping[str, float], ordering: DesiredOrdering) -> floa
     return cost
 
 
-class _CostPairs:
-    """Pair index arrays for the vectorized cost over evaluation batches."""
-
-    def __init__(self, plan: GraphPlan, ordering: DesiredOrdering):
-        rank = ordering.tier_of()
-        topics = sorted(rank)
-        strong, weak, tie_a, tie_b = [], [], [], []
-        for i, x in enumerate(topics):
-            for y in topics[i + 1:]:
-                if rank[x] == rank[y]:
-                    tie_a.append(plan.index[x])
-                    tie_b.append(plan.index[y])
-                elif rank[x] < rank[y]:
-                    strong.append(plan.index[y])
-                    weak.append(plan.index[x])
-                else:
-                    strong.append(plan.index[x])
-                    weak.append(plan.index[y])
-        self.strong = np.array(strong, dtype=int)
-        self.weak = np.array(weak, dtype=int)
-        self.tie_a = np.array(tie_a, dtype=int)
-        self.tie_b = np.array(tie_b, dtype=int)
-
-    def costs(self, sigma: np.ndarray) -> np.ndarray:
-        out = np.maximum(0.0, sigma[self.weak] - sigma[self.strong]).sum(axis=0)
-        if self.tie_a.size:
-            out = out + np.abs(sigma[self.tie_a] - sigma[self.tie_b]).sum(axis=0)
-        return out
-
-
-def _batched_costs(plan, spec, pairs, theta, m_idx, eps):
+def _batched_costs(plan, spec, rule, theta, m_idx, eps):
     """Cost at theta plus finite-difference gradients for every mutable index.
 
     Perturbs forward by eps, falling back to a backward difference where a
@@ -158,7 +134,7 @@ def _batched_costs(plan, spec, pairs, theta, m_idx, eps):
     sigma, defined = evaluate_matrix(plan, spec, batch)
     if not defined.all():
         raise UndefinedStrengthError("strength evaluation did not converge during the search")
-    costs = pairs.costs(sigma)
+    costs = rule.costs(sigma)
     grads = dirs * (costs[1:] - costs[0]) / eps
     return costs[0], grads
 
@@ -175,8 +151,8 @@ def finite_diff_gradient(
     check_scores_in_domain(plan, spec, plan.tau[:, None])
     m_ids = sorted(mutable)
     m_idx = np.array([plan.index[a] for a in m_ids], dtype=int)
-    pairs = _CostPairs(plan, ordering)
-    _, grads = _batched_costs(plan, spec, pairs, plan.tau.copy(), m_idx, eps)
+    rule = OrderingRule(plan.index, ordering)
+    _, grads = _batched_costs(plan, spec, rule, plan.tau.copy(), m_idx, eps)
     return {a: float(v) for a, v in zip(m_ids, grads)}
 
 
@@ -205,12 +181,6 @@ def adam_step(
     return AdamState(m, v, t), step
 
 
-def _clamp(domain, values: np.ndarray) -> np.ndarray:
-    if domain.bounded:
-        return np.clip(values, domain.lower, domain.upper)
-    return values
-
-
 def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Run the gradient-guided local search for an explanation.
 
@@ -219,48 +189,34 @@ def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -
     scores with uniform jitter around the originals.
     """
     cfg = cfg or SearchConfig()
-    g = query.graph
     spec = query.semantics
-    plan = compile_graph(g)
+    plan = compile_graph(query.graph)
     check_scores_in_domain(plan, spec, plan.tau[:, None])
-    pairs = _CostPairs(plan, query.ordering)
+    rule = OrderingRule(plan.index, query.ordering)
     m_ids = sorted(query.mutable)
     m_idx = np.array([plan.index[a] for a in m_ids], dtype=int)
     trajectory: list[float] | None = [] if cfg.record_trajectory else None
 
-    def canonical_cost(theta: np.ndarray) -> tuple[float, dict[str, float]]:
+    def check(theta: np.ndarray) -> tuple[float, bool]:
+        """Cost and acceptance of theta from a fresh width-1 evaluation, so
+        the verdict does not depend on the finite-difference batch width."""
         sigma, defined = evaluate_matrix(plan, spec, theta[:, None])
         if not defined.all():
             raise UndefinedStrengthError("strength evaluation did not converge during the search")
-        strengths = {a: float(sigma[plan.index[a], 0]) for a in query.ordering.topic_set}
-        return relu_cost(strengths, query.ordering), strengths
-
-    def with_scores(theta: np.ndarray):
-        return QBAG(
-            g.arguments,
-            {a: float(theta[plan.index[a]]) for a in g.arguments},
-            g.attacks,
-            g.supports,
-        )
-
-    def accept(theta: np.ndarray) -> bool:
-        cost, _ = canonical_cost(theta)
+        cost = float(rule.costs(sigma)[0])
         if cost > cfg.cost_tolerance:
-            return False
-        if cfg.satisfaction == "exact":
-            return satisfies(with_scores(theta), spec, query.ordering, mode="exact")
-        return True
+            return cost, False
+        return cost, cfg.satisfaction == "weak" or bool(rule.holds(sigma, "exact")[0])
 
-    def finish_found(theta: np.ndarray, iterations: int) -> SearchOutcome:
-        entries = {
+    def outcome(found: bool, theta: np.ndarray, iterations: int, cost: float) -> SearchOutcome:
+        change = StrengthChange({
             a: float(theta[plan.index[a]])
             for a in m_ids
             if theta[plan.index[a]] != plan.tau[plan.index[a]]
-        }
-        cost, _ = canonical_cost(theta)
+        }) if found else None
         return SearchOutcome(
-            "found",
-            StrengthChange(entries),
+            "found" if found else "not_found",
+            change,
             iterations,
             cost,
             {a: float(theta[plan.index[a]]) for a in plan.ids},
@@ -268,12 +224,8 @@ def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -
         )
 
     if not m_ids:
-        ok = accept(plan.tau.copy())
-        cost, _ = canonical_cost(plan.tau)
-        scores = {a: g.base_scores[a] for a in plan.ids}
-        if ok:
-            return SearchOutcome("found", StrengthChange({}), 1, cost, scores, trajectory)
-        return SearchOutcome("not_found", None, 1, cost, scores, trajectory)
+        cost, ok = check(plan.tau)
+        return outcome(ok, plan.tau, 1, cost)
 
     total_iterations = 0
     best_cost = float("inf")
@@ -283,32 +235,26 @@ def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -
         if restart > 0:
             rng = np.random.default_rng(cfg.rng_seed + restart)
             jitter = rng.uniform(-cfg.restart_jitter, cfg.restart_jitter, size=len(m_idx))
-            theta[m_idx] = _clamp(spec.domain, plan.tau[m_idx] + jitter)
+            theta[m_idx] = spec.domain.clamp(plan.tau[m_idx] + jitter)
         adam = AdamState(np.zeros(len(m_idx)), np.zeros(len(m_idx)))
         alpha = cfg.alpha
         for _ in range(cfg.max_iterations):
             total_iterations += 1
-            cost0, grads = _batched_costs(plan, spec, pairs, theta, m_idx, cfg.perturbation)
+            cost0, grads = _batched_costs(plan, spec, rule, theta, m_idx, cfg.perturbation)
             if trajectory is not None:
                 trajectory.append(float(cost0))
             if cost0 <= cfg.cost_tolerance:
-                if accept(theta):
-                    return finish_found(theta, total_iterations)
+                cost, ok = check(theta)
+                if ok:
+                    return outcome(True, theta, total_iterations, cost)
                 if not np.any(grads):
                     break  # flat spot that fails the exact check: restart
             adam, step = adam_step(adam, grads, alpha, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            theta[m_idx] = _clamp(spec.domain, theta[m_idx] + step)
+            theta[m_idx] = spec.domain.clamp(theta[m_idx] + step)
             alpha *= cfg.alpha_decay
-        cost_end, _ = canonical_cost(theta)
+        cost_end, _ = check(theta)
         if cost_end < best_cost:
             best_cost = cost_end
             best_theta = theta.copy()
 
-    return SearchOutcome(
-        "not_found",
-        None,
-        total_iterations,
-        best_cost,
-        {a: float(best_theta[plan.index[a]]) for a in plan.ids},
-        trajectory,
-    )
+    return outcome(False, best_theta, total_iterations, best_cost)

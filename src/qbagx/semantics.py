@@ -17,9 +17,11 @@ Built-ins: dfquad = (product, linear(1)), eb = (sum, euler_based),
 qe = (sum, 2-max(1)), all over [0, 1]; naive = (sum, additive) over the
 reals, defined for acyclic graphs only.
 
-Acyclic graphs are evaluated by a single forward pass over topological
-levels (exact); cyclic graphs by synchronous fixed-point iteration from the
-base scores, with non-convergent arguments reported as undefined.
+A topology compiles once into a GraphPlan; each column of a base-score
+matrix is one assignment of base scores to it. Acyclic graphs are evaluated
+by a single forward pass over topological levels (exact); cyclic graphs by
+synchronous fixed-point iteration from the base scores, with non-convergent
+arguments reported as undefined. Both run the same pass over plan blocks.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class StrengthDomain:
     def contains(self, v: float) -> bool:
         return self.lower <= v <= self.upper
 
-    def clamp(self, v: float) -> float:
-        return min(self.upper, max(self.lower, v))
+    def clamp(self, v):
+        """v (a float or an array) clipped to the domain."""
+        return np.clip(v, self.lower, self.upper)
 
     @property
     def bounded(self) -> bool:
@@ -71,8 +74,8 @@ class Influence:
     def __post_init__(self):
         if self.kind not in ("linear", "euler_based", "p_max", "additive"):
             raise ValueError(f"unknown influence kind: {self.kind!r}")
-        if self.k <= 0:
-            raise ValueError("influence parameter k must be positive")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError("influence parameter k must be positive and finite")
         if self.kind == "p_max" and (self.p < 1 or int(self.p) != self.p):
             raise ValueError("p_max needs a positive integer p")
 
@@ -173,11 +176,14 @@ def influence_value(inf: Influence, w: float, s: float) -> float:
 
 
 class GraphPlan:
-    """Index-based evaluation plan compiled once per graph.
+    """Index-based evaluation plan, compiled once per graph topology.
 
-    Holds dense parent matrices and, for acyclic graphs, per-level slices so
-    a whole batch of base-score columns evaluates with a handful of numpy
-    calls per level.
+    `blocks` lists (rows, cols, w, att, supp): rows evaluated together, the
+    parent columns their aggregation reads, and over (rows, cols) the signed
+    weight (support +1, attack -1) and the attack and support 0/1 matrices.
+    An acyclic graph has one block per topological level with only that
+    level's parents as columns, so no n x n matrix; a cyclic graph has one
+    block over all rows and columns. `tau` holds the graph's base scores.
     """
 
     def __init__(self, g: QBAG):
@@ -187,76 +193,63 @@ class GraphPlan:
         n = len(self.ids)
         self.n = n
         self.tau = np.array([g.base_scores[a] for a in self.ids], dtype=float)
-        self.att = np.zeros((n, n), dtype=bool)  # att[i, j]: j attacks i
-        self.supp = np.zeros((n, n), dtype=bool)
-        for a, b in g.attacks:
-            self.att[self.index[b], self.index[a]] = True
-        for a, b in g.supports:
-            self.supp[self.index[b], self.index[a]] = True
-        self.w_full = self.supp.astype(float) - self.att.astype(float)
-        self.att_f = self.att.astype(float)
-        self.supp_f = self.supp.astype(float)
-
         levels = topological_levels(g)
-        self.levels: list[tuple] | None = None
-        if levels is not None:
-            self.levels = []
-            for members in levels:
-                rows = np.array([self.index[a] for a in members], dtype=int)
-                par = self.att[rows] | self.supp[rows]
-                cols = np.flatnonzero(par.any(axis=0))
-                self.levels.append(
-                    (
-                        rows,
-                        cols,
-                        self.att[np.ix_(rows, cols)],
-                        self.supp[np.ix_(rows, cols)],
-                        self.att_f[np.ix_(rows, cols)],
-                        self.supp_f[np.ix_(rows, cols)],
-                        self.w_full[np.ix_(rows, cols)],
-                    )
-                )
+        self.acyclic = levels is not None
+        groups = levels if levels is not None else [self.ids]
+        # block and row position of each argument
+        where = {a: (k, r) for k, members in enumerate(groups) for r, a in enumerate(members)}
+        entries: list[list[tuple[int, int, float]]] = [[] for _ in groups]
+        for sign, relation in ((-1.0, g.attacks), (1.0, g.supports)):
+            for a, b in relation:
+                k, r = where[b]
+                entries[k].append((r, self.index[a], sign))
 
-    @property
-    def acyclic(self) -> bool:
-        return self.levels is not None
+        self.blocks = []
+        for members, block in zip(groups, entries):
+            cols = sorted({j for _, j, _ in block}) if self.acyclic else range(n)
+            col_pos = {j: c for c, j in enumerate(cols)}
+            w = np.zeros((len(members), len(cols)))
+            w[[r for r, _, _ in block], [col_pos[j] for _, j, _ in block]] = [v for _, _, v in block]
+            rows = [self.index[a] for a in members]
+            self.blocks.append((_indexer(rows), _indexer(cols), w, (w < 0.0) * 1.0, (w > 0.0) * 1.0))
+
+
+def _indexer(ascending) -> slice | np.ndarray:
+    """Ascending unique indices as a slice when they form one contiguous run
+    (indexing then makes a view, not a copy), else as an index array."""
+    if len(ascending) and ascending[-1] - ascending[0] == len(ascending) - 1:
+        return slice(ascending[0], ascending[-1] + 1)
+    return np.array(ascending, dtype=int)
 
 
 def compile_graph(g: QBAG) -> GraphPlan:
     return GraphPlan(g)
 
 
-def _products(att_mask, att_f, factors):
-    """prod over masked entries of `factors`, batched: (rows, cols) x (cols, B)."""
-    if factors.size and factors.min() >= 0.0:
-        return np.exp(att_f @ np.log(np.maximum(factors, _LOG_FLOOR)))
-    # negative factors (out-of-domain strengths): exact masked product
-    return np.where(att_mask[:, :, None], factors[None, :, :], 1.0).prod(axis=1)
+def _masked_product(mask, factors):
+    """prod over the entries of `factors` where the 0/1 `mask` is 1, batched:
+    (rows, cols) x (cols, B)."""
+    return np.where(mask[:, :, None] > 0.0, factors[None, :, :], 1.0).prod(axis=1)
 
 
-def _forward(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> np.ndarray:
-    """One exact pass over topological levels; tau has shape (n, B)."""
-    sigma = np.empty_like(tau)
-    for rows, cols, att_m, supp_m, att_f, supp_f, w_sub in plan.levels:
-        w = tau[rows]
-        if cols.size == 0:
-            agg = np.zeros(w.shape)
+def _pass(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Evaluate every block in order: out[rows] = influence(tau[rows],
+    aggregate(src[cols])). With out is src this is the exact forward pass over
+    topological levels; with a fresh out it is one synchronous sweep."""
+    for rows, cols, w, att, supp in plan.blocks:
+        if not w.size:
+            agg = np.zeros((w.shape[0], tau.shape[1]))
         elif spec.aggregation == "sum":
-            agg = w_sub @ sigma[cols]
+            agg = w @ src[cols]
         else:
-            factors = 1.0 - sigma[cols]
-            agg = _products(att_m, att_f, factors) - _products(supp_m, supp_f, factors)
-        sigma[rows] = _apply_influence(spec.influence, w, agg)
-    return sigma
-
-
-def _sweep(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, current: np.ndarray) -> np.ndarray:
-    if spec.aggregation == "sum":
-        agg = plan.w_full @ current
-    else:
-        factors = 1.0 - current
-        agg = _products(plan.att, plan.att_f, factors) - _products(plan.supp, plan.supp_f, factors)
-    return _apply_influence(spec.influence, tau, agg)
+            factors = 1.0 - src[cols]
+            if factors.min() >= 0.0:
+                logs = np.log(np.maximum(factors, _LOG_FLOOR))
+                agg = np.exp(att @ logs) - np.exp(supp @ logs)
+            else:  # negative factors (out-of-domain strengths): exact masked products
+                agg = _masked_product(att, factors) - _masked_product(supp, factors)
+        out[rows] = _apply_influence(spec.influence, tau[rows], agg)
+    return out
 
 
 def _fixed_point(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +261,7 @@ def _fixed_point(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> tuple
     current = tau.copy()
     delta = np.zeros(tau.shape)
     for _ in range(spec.max_sweeps):
-        nxt = _sweep(plan, spec, tau, current)
+        nxt = _pass(plan, spec, tau, current, np.empty_like(current))
         delta = np.abs(nxt - current)
         current = nxt
         if delta.max(initial=0.0) < spec.epsilon:
@@ -299,12 +292,14 @@ def evaluate_matrix(
         return _fixed_point(plan, spec, tau)
     if method == "iterative":
         return _fixed_point(plan, spec, tau)
-    return _forward(plan, spec, tau), np.ones(tau.shape, dtype=bool)
+    sigma = np.empty_like(tau)
+    return _pass(plan, spec, tau, sigma, sigma), np.ones(tau.shape, dtype=bool)
 
 
 def check_scores_in_domain(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> None:
-    if spec.domain.bounded and tau.size:
-        out = (tau < spec.domain.lower) | (tau > spec.domain.upper)
+    if spec.domain.bounded:
+        # written as a negated "inside" test so that NaN counts as outside
+        out = ~((tau >= spec.domain.lower) & (tau <= spec.domain.upper))
         if out.any():
             bad = plan.ids[int(np.nonzero(out.any(axis=1))[0][0])]
             raise DomainError(

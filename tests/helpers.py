@@ -61,3 +61,18 @@ def random_tiny_query(seed: int, semantics=None, max_mutable: int = 3) -> q.Expl
     m = int(rng.integers(1, max_mutable + 1))
     mutable = frozenset(ids[i] for i in rng.choice(n, size=m, replace=False))
     return q.ExplanationQuery(g, semantics or q.DFQUAD, mutable, ordering)
+
+
+def satisfies_reference(sigma, ordering: q.DesiredOrdering, mode: str = "exact", tolerance: float = 0.0) -> bool:
+    """Scalar reference for the batched ordering verdict: the pairwise loop
+    over topic strengths `sigma` (a mapping id -> strength)."""
+    rank = ordering.tier_of()
+    topics = sorted(rank)
+    if mode == "weak":
+        return all(sigma[x] <= sigma[y] for x in topics for y in topics if rank[x] < rank[y])
+    for x in topics:
+        for y in topics:
+            holds = sigma[x] <= sigma[y] + tolerance
+            if (rank[x] <= rank[y]) != holds:
+                return False
+    return True

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 import qbagx as q
 from qbagx.errors import GraphFormatError, InvalidChangeError, UnknownArgumentError
+from qbagx.explanation import OrderingRule
 
-from helpers import fig_graph, fig_query, random_tiny_query
+from helpers import fig_graph, fig_query, random_dag, random_tiny_query, satisfies_reference
 
 
 def test_induced_ordering_running_example():
@@ -100,6 +102,61 @@ def test_empty_change_explains_iff_satisfied_on_random_queries():
         assert q.is_explanation(query, q.EMPTY_CHANGE) == q.satisfies(
             query.graph, query.semantics, query.ordering
         )
+
+
+def random_tiers(rng, ids):
+    """A random ordering over a random subset of ids, some tiers shared."""
+    k = int(rng.integers(1, len(ids) + 1))
+    topics = [ids[i] for i in rng.choice(len(ids), size=k, replace=False)]
+    tiers = [[topics[0]]]
+    for x in topics[1:]:
+        if rng.random() < 0.3:
+            tiers[-1].append(x)
+        else:
+            tiers.append([x])
+    return q.ordering_from_tiers(tiers)
+
+
+def test_ordering_rule_matches_scalar_reference():
+    ids = [f"x{i}" for i in range(7)]
+    index = {a: i for i, a in enumerate(ids)}
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        ordering = random_tiers(rng, ids)
+        rule = OrderingRule(index, ordering)
+        # few distinct levels make exact ties common; tiny offsets probe the tolerance
+        sigma = rng.integers(0, 3, size=(len(ids), 40)) / 2.0
+        sigma += rng.choice([0.0, 0.0, 5e-7, -5e-7, 3e-6], size=sigma.shape)
+        costs = rule.costs(sigma)
+        for mode, tol in (("weak", 0.0), ("exact", 0.0), ("exact", 1e-6)):
+            batched = rule.holds(sigma, mode, tol)
+            for b in range(sigma.shape[1]):
+                column = {a: float(sigma[i, b]) for a, i in index.items()}
+                assert batched[b] == satisfies_reference(column, ordering, mode, tol), (seed, b, mode, tol)
+        for b in range(sigma.shape[1]):
+            column = {a: float(sigma[i, b]) for a, i in index.items()}
+            assert abs(costs[b] - q.relu_cost(column, ordering)) <= 1e-12
+
+
+def test_is_explanation_matches_satisfies_of_applied_change():
+    for seed in range(80):
+        g, ids, rng = random_dag(seed)
+        ordering = random_tiers(rng, ids)
+        mutable = frozenset(ids[i] for i in rng.choice(len(ids), size=int(rng.integers(1, len(ids) + 1)), replace=False))
+        query = q.ExplanationQuery(g, q.DFQUAD, mutable, ordering)
+        entries = {a: float(rng.choice([rng.random(), 0.0, 1.0])) for a in sorted(mutable) if rng.random() < 0.7}
+        change = q.StrengthChange({a: v for a, v in entries.items() if v != g.base_scores[a]})
+        updated = q.apply_change(g, change, q.DFQUAD.domain)
+        for mode in ("weak", "exact"):
+            assert q.is_explanation(query, change, mode) == q.satisfies(updated, q.DFQUAD, ordering, mode)
+
+
+def test_non_finite_changes_rejected():
+    with pytest.raises(InvalidChangeError):
+        q.StrengthChange({"a": float("nan")})
+    for doc in ('{"changes":{"a":NaN}}', '{"changes":{"a":Infinity}}', '{"changes":{"a":1e999}}'):
+        with pytest.raises(GraphFormatError):
+            q.change_from_json(doc)
 
 
 def test_epsilon_approximation_running_example():

@@ -88,6 +88,50 @@ def test_topological_order_single_node_and_cycle():
     assert q.topological_levels(cyc) is None
 
 
+def test_topological_levels_are_longest_path_depths():
+    for seed in range(60):
+        g, ids, rng = random_dag(seed, 2, 12)
+        levels = q.topological_levels(g)
+        level_of = {a: k for k, level in enumerate(levels) for a in level}
+        assert sorted(level_of) == sorted(g.arguments) and sum(map(len, levels)) == len(ids)
+        for a in g.arguments:
+            assert level_of[a] == 1 + max((level_of[p] for p in g.parents(a)), default=-1)
+
+        depth: dict[str, int] = {}
+
+        def longest_path_to(a):
+            if a not in depth:
+                depth[a] = 1 + max((longest_path_to(p) for p in g.parents(a)), default=-1)
+            return depth[a]
+
+        grouping = [[] for _ in levels]
+        for a in g.arguments:
+            grouping[longest_path_to(a)].append(a)
+        assert levels == grouping  # same members, each level sorted by id
+
+        order = q.topological_order(g)
+        position = {a: i for i, a in enumerate(order)}
+        assert all(position[a] < position[b] for a, b in g.edges())
+
+        if len(levels) > 1:
+            # an edge from a deepest argument back to one of its roots closes a cycle
+            deepest = root = levels[-1][0]
+            while g.parents(root):
+                root = min(g.parents(root))
+            cyclic = q.make_qbag(g.base_scores, set(g.attacks) | {(deepest, root)}, g.supports)
+            assert q.topological_levels(cyclic) is None
+
+
+def test_non_finite_scores_rejected():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(GraphFormatError):
+            q.make_qbag({"a": bad, "b": 0.5}, attacks=[("a", "b")])
+    for literal in ("NaN", "Infinity", "-Infinity", "1e999"):
+        doc = '{"arguments": [{"id": "a", "base_score": %s}]}' % literal
+        with pytest.raises(GraphFormatError):
+            q.parse_qbag(doc)
+
+
 def test_self_loop_is_cyclic_but_constructible():
     g = q.make_qbag({"x": 0.5}, attacks=[("x", "x")])
     assert q.topological_order(g) is None

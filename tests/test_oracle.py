@@ -122,6 +122,12 @@ def test_unbounded_domain_needs_explicit_grid_bounds():
         q.brute_force_search(fig_query(), q.GridSpec(step=0.5))
 
 
+def test_non_finite_grid_rejected():
+    for bad in ({"step": float("nan")}, {"step": float("inf")}, {"lower": float("-inf")}, {"upper": float("nan")}):
+        with pytest.raises(ValueError):
+            q.GridSpec(**bad)
+
+
 def test_grid_point_cap_enforced():
     query = random_tiny_query(7, max_mutable=3)
     with pytest.raises(BudgetError):

@@ -44,6 +44,19 @@ def test_solve_inverse_running_example():
     assert q.satisfies(known, q.NAIVE, problem.ordering, mode="exact")
 
 
+def test_solve_inverse_compiles_the_graph_once(monkeypatch):
+    compiles = []
+    init = q.semantics.GraphPlan.__init__
+
+    def counting_init(plan, g):
+        compiles.append(g)
+        init(plan, g)
+
+    monkeypatch.setattr(q.semantics.GraphPlan, "__init__", counting_init)
+    assert q.solve_inverse(example_inverse_problem(), q.NAIVE) is not None
+    assert len(compiles) == 1
+
+
 def test_solve_inverse_single_argument():
     problem = q.make_inverse_problem(["only"], [], [], [["only"]])
     solution = q.solve_inverse(problem, q.DFQUAD)

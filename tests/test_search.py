@@ -173,6 +173,10 @@ def test_search_config_validation():
         q.SearchConfig(alpha_decay=0.0)
     with pytest.raises(ValueError):
         q.SearchConfig(satisfaction="sloppy")
+    for field in ("perturbation", "alpha", "beta1", "adam_eps", "cost_tolerance", "restart_jitter"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                q.SearchConfig(**{field: bad})
 
 
 def test_search_empty_mutable_set():

@@ -86,6 +86,13 @@ def test_domain_violation_rejected():
     with pytest.raises(DomainError):
         q.final_strengths(g, q.DFQUAD)
     assert q.final_strengths(g, q.NAIVE)["x"] == 1.5  # reals domain accepts it
+    # a NaN score reaching the evaluator directly is outside every bounded domain
+    nan_graph = q.QBAG(("x",), {"x": float("nan")}, frozenset(), frozenset())
+    with pytest.raises(DomainError):
+        q.final_strengths(nan_graph, q.DFQUAD)
+    for k in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Influence("linear", k=k)
 
 
 def test_naive_rejects_cyclic_graph():

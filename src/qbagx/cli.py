@@ -139,6 +139,7 @@ def _cmd_oracle(args) -> int:
             "best": dict(result.best.sorted_items()) if result.best is not None else None,
             "best_norm": result.best_norm if result.best is not None else None,
             "exhaustive": result.exhaustive,
+            "points": result.points,
         }
     )
     return EXIT_OK if result.best is not None else EXIT_NOT_FOUND

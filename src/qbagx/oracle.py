@@ -2,16 +2,21 @@
 
 Ground truth for tiny instances: enumerates every grid assignment to the
 mutable set (each argument's candidates are the grid points plus its
-current score, so "leave unchanged" is always available), evaluates all of
-them in one batched pass, and reports the cheapest assignment that
-satisfies the ordering. Deliberately unscalable; the cap on the mutable
-set keeps the enumeration honest.
+current score, so "leave unchanged" is always available) and reports the
+cheapest assignment that satisfies the ordering. The enumeration streams in
+C order over fixed-width column chunks, each evaluated as one batch on the
+one compiled plan, keeping a running minimum and its tie-break, so memory
+stays bounded by the chunk width whatever the grid size. Certification
+reads the same stream and stops at the first chunk that refutes the change.
+Deliberately unscalable in time; the caps on the mutable set and the number
+of assignments keep the enumeration honest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +31,7 @@ class GridSpec:
     lower: float | None = None  # default: the semantics domain bounds
     upper: float | None = None
     max_mutable: int = 4
-    max_points: int = 2_000_000  # cap on enumerated assignments
+    max_points: int = 2_000_000  # cap on enumerated assignments; bounds time, not memory
 
     def __post_init__(self):
         for bound in (self.step, self.lower, self.upper):
@@ -42,7 +47,14 @@ class GridSpec:
 class OracleResult:
     best: StrengthChange | None
     best_norm: float  # inf when no explanation exists on the grid
-    exhaustive: bool
+    exhaustive: bool  # False when the stream stopped before the last chunk
+    points: int  # grid assignments evaluated
+
+
+# Columns per oracle batch. At this width a chunk's base scores, strengths and
+# per-block temporaries stay a few MB for graphs of tens of arguments, well
+# inside a last-level cache, and per-chunk overhead is small against the work.
+_CHUNK = 32_768
 
 
 def _grid_values(grid: GridSpec, domain) -> np.ndarray:
@@ -54,13 +66,11 @@ def _grid_values(grid: GridSpec, domain) -> np.ndarray:
     return lower + grid.step * np.arange(count)
 
 
-def brute_force_search(query: ExplanationQuery, grid: GridSpec | None = None, mode: str = "weak") -> OracleResult:
-    """Minimum-change explanation over the grid, or none.
-
-    Ties on the change amount break deterministically towards the
-    lexicographically smallest sorted (id, value) entry list.
-    """
-    grid = grid or GridSpec()
+def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iterator[OracleResult]:
+    """Stream the grid in C order, `_CHUNK` columns at a time; after each
+    chunk, yield the best assignment among those evaluated so far
+    (`exhaustive` once the grid is done). A chunk's winners at the running
+    minimum join the tie-break, so the answer is the whole grid's."""
     g = query.graph
     spec = query.semantics
     m_ids = sorted(query.mutable)
@@ -69,44 +79,56 @@ def brute_force_search(query: ExplanationQuery, grid: GridSpec | None = None, mo
 
     plan = compile_graph(g)
     check_scores_in_domain(plan, spec, plan.tau[:, None])
+    rule = OrderingRule(plan.index, query.ordering)
     values = _grid_values(grid, spec.domain)
     candidates = []
     for a in m_ids:
         tau_a = g.base_scores[a]
         col = values if np.any(values == tau_a) else np.append(values, tau_a)
         candidates.append(np.sort(col))
-    total = math.prod(len(c) for c in candidates)
+    shape = tuple(len(c) for c in candidates)
+    total = math.prod(shape)
     if total > grid.max_points:
         raise BudgetError(f"{total} grid assignments exceed the cap of {grid.max_points}")
 
-    batch = np.repeat(plan.tau[:, None], total, axis=1)
-    if m_ids:
-        mesh = np.meshgrid(*candidates, indexing="ij")
-        for a, vals in zip(m_ids, mesh):
-            batch[plan.index[a]] = vals.reshape(-1)
-    sigma, defined = evaluate_matrix(plan, spec, batch)
-    ok = OrderingRule(plan.index, query.ordering).holds(sigma, mode) & defined.all(axis=0)
-    if not ok.any():
-        return OracleResult(None, float("inf"), True)
-
+    rows = [plan.index[a] for a in m_ids]
     tau_m = np.array([g.base_scores[a] for a in m_ids])
-    if m_ids:
-        norms = np.abs(batch[[plan.index[a] for a in m_ids]] - tau_m[:, None]).sum(axis=0)
-    else:
-        norms = np.zeros(total)
-    norms = np.where(ok, norms, np.inf)
-    best_norm = norms.min()
-    winners = np.flatnonzero(norms == best_norm)
+    best_norm, best_entries = float("inf"), None
+    batch = np.empty((plan.n, 0))
+    for start in range(0, total, _CHUNK):
+        width = min(_CHUNK, total - start)
+        if batch.shape[1] != width:
+            batch = np.repeat(plan.tau[:, None], width, axis=1)
+        if rows:
+            picks = np.unravel_index(np.arange(start, start + width), shape)
+            for row, vals, pick in zip(rows, candidates, picks):
+                batch[row] = vals[pick]
+        sigma, defined = evaluate_matrix(plan, spec, batch)
+        ok = rule.holds(sigma, mode) & defined.all(axis=0)
+        if ok.any():
+            norms = np.where(ok, np.abs(batch[rows] - tau_m[:, None]).sum(axis=0), np.inf)
+            chunk_norm = float(norms.min())
+            if chunk_norm <= best_norm:
+                chunk_entries = min(
+                    [(a, float(batch[row, col])) for a, row in zip(m_ids, rows) if batch[row, col] != g.base_scores[a]]
+                    for col in np.flatnonzero(norms == chunk_norm)
+                )
+                if chunk_norm < best_norm or chunk_entries < best_entries:
+                    best_norm, best_entries = chunk_norm, chunk_entries
+        done = start + width
+        best = None if best_entries is None else StrengthChange(dict(best_entries))
+        yield OracleResult(best, best_norm, done == total, done)
 
-    def entries_of(col: int) -> list[tuple[str, float]]:
-        return [
-            (a, float(batch[plan.index[a], col]))
-            for a in m_ids
-            if batch[plan.index[a], col] != g.base_scores[a]
-        ]
 
-    best_entries = min(entries_of(int(c)) for c in winners)
-    return OracleResult(StrengthChange(dict(best_entries)), float(best_norm), True)
+def brute_force_search(query: ExplanationQuery, grid: GridSpec | None = None, mode: str = "weak") -> OracleResult:
+    """Minimum-change explanation over the grid, or none.
+
+    Ties on the change amount break deterministically towards the
+    lexicographically smallest sorted (id, value) entry list.
+    """
+    for result in _running_minimum(query, grid or GridSpec(), mode):
+        pass
+    return result
 
 
 def certify_epsilon(
@@ -118,7 +140,8 @@ def certify_epsilon(
 ) -> str:
     """Grid verdict on epsilon-approximation of an explanation.
 
-    "no" when some grid explanation is cheaper by more than epsilon; "yes"
+    "no" when some grid explanation is cheaper by more than epsilon, decided
+    at the first chunk of the grid stream that holds one; "yes"
     when either no explanation at all can be cheaper (norm(change) <=
     epsilon) or the exhaustive grid minimum clears the discretization bound
     norm(change) - epsilon + |mutable| * step; "unknown" in between. The
@@ -128,9 +151,9 @@ def certify_epsilon(
     norm = amount_of_change(query.graph, change)
     if norm <= epsilon:
         return "yes"
-    result = brute_force_search(query, grid, mode)
-    if result.best is not None and result.best_norm < norm - epsilon:
-        return "no"
+    for result in _running_minimum(query, grid, mode):
+        if result.best is not None and result.best_norm < norm - epsilon:
+            return "no"
     if result.exhaustive and result.best_norm >= norm - epsilon + len(query.mutable) * grid.step:
         return "yes"
     return "unknown"

@@ -266,14 +266,20 @@ def _fixed_point(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> tuple
         current = nxt
         if delta.max(initial=0.0) < spec.epsilon:
             return current, np.ones(tau.shape, dtype=bool)
-    defined = np.ones(tau.shape, dtype=bool)
-    g = plan.graph
-    for b in range(tau.shape[1]):
-        unstable = {plan.ids[i] for i in np.flatnonzero(delta[:, b] >= spec.epsilon)}
-        tainted = unstable | reachable_from(g, unstable)
-        for a in tainted:
-            defined[plan.index[a], b] = False
-    return current, defined
+    return current, ~_tainted(plan, delta >= spec.epsilon)
+
+
+def _tainted(plan: GraphPlan, unstable: np.ndarray) -> np.ndarray:
+    """Per column, the unstable rows plus every row reachable from one: one
+    step along the plan's edges at a time, until no column changes."""
+    tainted = unstable
+    while True:
+        spread = tainted.copy()
+        for rows, cols, _, att, supp in plan.blocks:
+            spread[rows] |= (att + supp) @ tainted[cols] > 0.0
+        if np.array_equal(spread, tainted):
+            return tainted
+        tainted = spread
 
 
 def evaluate_matrix(

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import qbagx as q
+from qbagx.explanation import OrderingRule
+from qbagx.oracle import _grid_values
+from qbagx.semantics import compile_graph, evaluate_matrix
 
 FIG_EDGES = {
     "attacks": [("a", "b"), ("d", "e")],
@@ -76,3 +81,41 @@ def satisfies_reference(sigma, ordering: q.DesiredOrdering, mode: str = "exact",
             if (rank[x] <= rank[y]) != holds:
                 return False
     return True
+
+
+def brute_force_reference(query: q.ExplanationQuery, grid: q.GridSpec, mode: str = "weak"):
+    """Reference for the streamed oracle: the whole grid in one batch, then
+    the minimum norm and the lexicographically smallest entry list at it.
+    Returns (best change or None, best norm, grid positions of the columns
+    at the best norm)."""
+    g = query.graph
+    m_ids = sorted(query.mutable)
+    plan = compile_graph(g)
+    values = _grid_values(grid, query.semantics.domain)
+    candidates = [np.sort(values if np.any(values == g.base_scores[a]) else np.append(values, g.base_scores[a]))
+                  for a in m_ids]
+    total = math.prod(len(c) for c in candidates)
+    batch = np.repeat(plan.tau[:, None], total, axis=1)
+    if m_ids:
+        mesh = np.meshgrid(*candidates, indexing="ij")
+        for a, vals in zip(m_ids, mesh):
+            batch[plan.index[a]] = vals.reshape(-1)
+    sigma, defined = evaluate_matrix(plan, query.semantics, batch)
+    ok = OrderingRule(plan.index, query.ordering).holds(sigma, mode) & defined.all(axis=0)
+    if not ok.any():
+        return None, float("inf"), np.array([], dtype=int)
+    tau_m = np.array([g.base_scores[a] for a in m_ids])
+    if m_ids:
+        norms = np.abs(batch[[plan.index[a] for a in m_ids]] - tau_m[:, None]).sum(axis=0)
+    else:
+        norms = np.zeros(total)
+    norms = np.where(ok, norms, np.inf)
+    best_norm = norms.min()
+    winners = np.flatnonzero(norms == best_norm)
+
+    def entries_of(col: int) -> list[tuple[str, float]]:
+        return [(a, float(batch[plan.index[a], col])) for a in m_ids
+                if batch[plan.index[a], col] != g.base_scores[a]]
+
+    best_entries = min(entries_of(int(c)) for c in winners)
+    return q.StrengthChange(dict(best_entries)), float(best_norm), winners

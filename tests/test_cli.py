@@ -134,6 +134,7 @@ def test_oracle_subcommand(fig_file, capsys):
     doc = json.loads(out)
     assert doc["exhaustive"] is True
     assert doc["best_norm"] == 1.25
+    assert doc["points"] == 17 * 17  # 0, 0.25, .., 4 for each of a and e
 
 
 def test_oracle_nothing_found_exit_code(tmp_path, capsys):

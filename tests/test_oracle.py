@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 import qbagx as q
+import qbagx.oracle
 from qbagx.errors import BudgetError
 
-from helpers import fig_graph, fig_query, random_tiny_query
+from helpers import brute_force_reference, fig_graph, fig_query, random_tiny_query
 
 
 def test_grid_best_running_example_exact_mode():
@@ -31,6 +34,7 @@ def test_grid_best_running_example_exact_mode():
 
     result = q.brute_force_search(fig_query(), q.GridSpec(step=0.25, lower=0, upper=4), mode="exact")
     assert result.exhaustive
+    assert result.points == len(values) ** 2
     assert result.best_norm == pytest.approx(1.25)
     assert q.is_explanation(fig_query(), result.best, mode="exact")
 
@@ -132,3 +136,80 @@ def test_grid_point_cap_enforced():
     query = random_tiny_query(7, max_mutable=3)
     with pytest.raises(BudgetError):
         q.brute_force_search(query, q.GridSpec(step=0.001, max_points=1000))
+
+
+def _reference_queries():
+    """Random tiny queries as drawn (base scores off the grid), and the same
+    queries with base scores moved onto a quarter grid, where many
+    assignments tie on the change amount."""
+    for seed in range(24):
+        for semantics in (q.DFQUAD, q.QUADRATIC_ENERGY):
+            query = random_tiny_query(seed, semantics)
+            yield query, q.GridSpec(step=0.1)
+            scores = {a: round(4 * v) / 4 for a, v in query.graph.base_scores.items()}
+            graph = q.make_qbag(scores, query.graph.attacks, query.graph.supports)
+            yield dataclasses.replace(query, graph=graph), q.GridSpec(step=0.25)
+
+
+def test_streamed_oracle_matches_single_batch_reference(monkeypatch):
+    # chunks of 7 columns split groups of equal-norm winners across chunks
+    monkeypatch.setattr(qbagx.oracle, "_CHUNK", 7)
+    split_groups = 0
+    for query, grid in _reference_queries():
+        for mode in ("weak", "exact"):
+            best, best_norm, winners = brute_force_reference(query, grid, mode)
+            result = q.brute_force_search(query, grid, mode)
+            assert (result.best, result.best_norm) == (best, best_norm), (query, mode)
+            split_groups += len(set(winners // 7)) > 1
+    assert split_groups >= 10
+
+
+def test_early_exit_certification_matches_full_minimum(monkeypatch):
+    monkeypatch.setattr(qbagx.oracle, "_CHUNK", 7)
+    rng = np.random.default_rng(0)
+    seen = set()
+    for query, grid in _reference_queries():
+        _, best_norm, _ = brute_force_reference(query, grid, "weak")
+        slack = len(query.mutable) * grid.step
+        for _ in range(3):
+            change = q.StrengthChange({a: float(rng.random()) for a in sorted(query.mutable) if rng.random() < 0.8})
+            norm = q.amount_of_change(query.graph, change)
+            for epsilon in (0.0, 0.1, 0.3):
+                if norm <= epsilon or norm - epsilon + slack <= best_norm:
+                    expected = "yes"
+                elif best_norm < norm - epsilon:
+                    expected = "no"
+                else:
+                    expected = "unknown"
+                assert q.certify_epsilon(query, change, epsilon, grid, "weak") == expected
+                seen.add(expected)
+    assert seen == {"yes", "no", "unknown"}
+
+
+def test_exact_mode_witnesses_are_exact_explanations():
+    found = 0
+    for seed in range(30):
+        for semantics in (q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY):
+            query = random_tiny_query(seed, semantics)
+            result = q.brute_force_search(query, q.GridSpec(step=0.1), mode="exact")
+            if result.best is not None:
+                found += 1
+                assert q.is_explanation(query, result.best, mode="exact"), (seed, semantics.name)
+    assert found >= 30
+
+
+def test_oracle_batches_stay_within_one_chunk(monkeypatch):
+    widths = []
+    evaluate = qbagx.oracle.evaluate_matrix
+
+    def recording(plan, spec, tau, *args, **kwargs):
+        widths.append(tau.shape[1])
+        return evaluate(plan, spec, tau, *args, **kwargs)
+
+    monkeypatch.setattr(qbagx.oracle, "evaluate_matrix", recording)
+    grid = q.GridSpec(step=0.125, lower=0.0, upper=4.0)  # 33 values, each base score among them
+    result = q.brute_force_search(fig_query(mutable=("a", "d", "e")), grid)
+    assert result.points == 33 ** 3 > qbagx.oracle._CHUNK
+    assert len(widths) > 1
+    assert max(widths) <= qbagx.oracle._CHUNK
+    assert sum(widths) == result.points

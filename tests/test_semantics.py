@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qbagx as q
 from qbagx.errors import CyclicGraphError, DomainError
+from qbagx.graph import reachable_from
 from qbagx.semantics import Influence, compile_graph, evaluate_matrix
 
 from helpers import FIG_CASES, fig_graph, random_dag
@@ -123,6 +126,27 @@ def test_cyclic_nonconvergent_marks_undefined_and_downstream():
     assert sigma["x"] is None and sigma["y"] is None
     assert sigma["z"] is None  # downstream of the oscillation
     assert sigma["w"] == 0.4  # untouched component stays defined
+
+
+def test_nonconvergent_batch_marks_what_each_column_reaches():
+    # a layered graph with one back edge, under sum + linear(1): after 50
+    # sweeps some columns still move somewhere and some have settled
+    spec = q.SemanticsSpec("sum", Influence("linear", k=1.0), q.UNIT_INTERVAL, max_sweeps=50)
+    inst = q.generate(q.GenSpec(q.structure((8, 32, 16, 8)), "random", 3))
+    back = (inst.layers[-1][0], inst.layers[1][0])
+    g = q.make_qbag(inst.graph.base_scores, inst.graph.attacks | {back}, inst.graph.supports)
+    plan = compile_graph(g)
+    tau = np.random.default_rng(0).random((plan.n, 300))
+    sigma, defined = evaluate_matrix(plan, spec, tau)
+    before, _ = evaluate_matrix(plan, dataclasses.replace(spec, max_sweeps=49), tau)
+    unstable = np.abs(sigma - before) >= spec.epsilon
+    expected = np.ones(tau.shape, dtype=bool)
+    for b in range(tau.shape[1]):
+        moving = {plan.ids[i] for i in np.flatnonzero(unstable[:, b])}
+        for a in moving | reachable_from(g, moving):
+            expected[plan.index[a], b] = False
+    assert 0 < (~expected).any(axis=0).sum() < tau.shape[1]
+    assert np.array_equal(defined, expected)
 
 
 def test_forward_and_fixed_point_agree_on_acyclic():

@@ -187,11 +187,14 @@ class OrderingRule:
     def costs(self, sigma: np.ndarray) -> np.ndarray:
         """Per-column order-violation cost, the batched form of `relu_cost`:
         max(0, sigma(weak) - sigma(strong)) per cross-tier pair plus
-        |sigma(a) - sigma(b)| per same-tier pair."""
-        out = np.maximum(0.0, sigma[self.weak] - sigma[self.strong]).sum(axis=0)
-        if self.tie_a.size:
-            out = out + np.abs(sigma[self.tie_a] - sigma[self.tie_b]).sum(axis=0)
-        return out
+        |sigma(a) - sigma(b)| per same-tier pair. A term without pairs is
+        skipped; the costs are the same as with its zero sum added."""
+        if not self.tie_a.size:
+            return np.maximum(0.0, sigma[self.weak] - sigma[self.strong]).sum(axis=0)
+        ties = np.abs(sigma[self.tie_a] - sigma[self.tie_b]).sum(axis=0)
+        if not self.weak.size:
+            return ties
+        return np.maximum(0.0, sigma[self.weak] - sigma[self.strong]).sum(axis=0) + ties
 
     def holds(self, sigma: np.ndarray, mode: str = "exact", tolerance: float = 0.0) -> np.ndarray:
         """Per-column verdict. weak: no lower-tier topic is strictly stronger

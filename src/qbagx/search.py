@@ -7,6 +7,13 @@ the unperturbed point plus all perturbations), and applies an Adam update
 clamped to the strength domain. Success means the cost dropped to the
 configured tolerance; the winning assignment is re-verified with a fresh
 width-1 evaluation on the same plan before it is returned.
+
+A search allocates one workspace: the finite-difference batch and its
+strengths buffer, refilled in place on every iteration. On acyclic plans
+the batch goes straight through the level pass into that buffer, without
+evaluate_matrix's checks and defined mask; cyclic plans go through
+evaluate_matrix, which reports non-convergence. The arithmetic is that of
+a fresh batch per iteration, so trajectories are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from .errors import UndefinedStrengthError
 from .explanation import DesiredOrdering, ExplanationQuery, OrderingRule, StrengthChange
-from .semantics import SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix
+from .semantics import GraphPlan, SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix, level_pass
 
 
 @dataclass(frozen=True)
@@ -118,25 +125,35 @@ def relu_cost(strengths: Mapping[str, float], ordering: DesiredOrdering) -> floa
     return cost
 
 
-def _batched_costs(plan, spec, rule, theta, m_idx, eps):
-    """Cost at theta plus finite-difference gradients for every mutable index.
+class _Workspace:
+    """The buffers one search reuses on every iteration: the finite-difference
+    batch (theta in column 0, theta with mutable score j perturbed in column
+    j + 1) and its strengths."""
 
-    Perturbs forward by eps, falling back to a backward difference where a
-    forward step would leave the domain.
-    """
-    n_m = len(m_idx)
-    batch = np.repeat(theta[:, None], n_m + 1, axis=1)
-    if spec.domain.bounded:
-        dirs = np.where(theta[m_idx] + eps > spec.domain.upper, -1.0, 1.0)
-    else:
-        dirs = np.ones(n_m)
-    batch[m_idx, np.arange(1, n_m + 1)] += dirs * eps
-    sigma, defined = evaluate_matrix(plan, spec, batch)
-    if not defined.all():
-        raise UndefinedStrengthError("strength evaluation did not converge during the search")
-    costs = rule.costs(sigma)
-    grads = dirs * (costs[1:] - costs[0]) / eps
-    return costs[0], grads
+    def __init__(self, plan: GraphPlan, spec: SemanticsSpec, rule: OrderingRule, m_idx: np.ndarray, eps: float):
+        self.plan, self.spec, self.rule, self.m_idx, self.eps = plan, spec, rule, m_idx, eps
+        self.batch = np.empty((plan.n, len(m_idx) + 1))
+        self.sigma = np.empty_like(self.batch)
+        self.cols = np.arange(1, len(m_idx) + 1)
+        self.upper = spec.domain.upper  # inf on an unbounded domain: every step is forward
+
+    def costs(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Cost at theta plus finite-difference gradients for every mutable
+        index: a forward difference, or a backward one where a forward step
+        would leave the domain."""
+        batch = self.batch
+        batch[...] = theta[:, None]
+        base = theta[self.m_idx]
+        dirs = np.where(base + self.eps > self.upper, -1.0, 1.0)
+        batch[self.m_idx, self.cols] = base + dirs * self.eps
+        if self.plan.acyclic:
+            sigma = level_pass(self.plan, self.spec, batch, self.sigma, self.sigma)
+        else:
+            sigma, defined = evaluate_matrix(self.plan, self.spec, batch)
+            if not defined.all():
+                raise UndefinedStrengthError("strength evaluation did not converge during the search")
+        costs = self.rule.costs(sigma)
+        return costs[0], dirs * (costs[1:] - costs[0]) / self.eps
 
 
 def finite_diff_gradient(
@@ -151,8 +168,8 @@ def finite_diff_gradient(
     check_scores_in_domain(plan, spec, plan.tau[:, None])
     m_ids = sorted(mutable)
     m_idx = np.array([plan.index[a] for a in m_ids], dtype=int)
-    rule = OrderingRule(plan.index, ordering)
-    _, grads = _batched_costs(plan, spec, rule, plan.tau.copy(), m_idx, eps)
+    workspace = _Workspace(plan, spec, OrderingRule(plan.index, ordering), m_idx, eps)
+    _, grads = workspace.costs(plan.tau)
     return {a: float(v) for a, v in zip(m_ids, grads)}
 
 
@@ -227,6 +244,7 @@ def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -
         cost, ok = check(plan.tau)
         return outcome(ok, plan.tau, 1, cost)
 
+    workspace = _Workspace(plan, spec, rule, m_idx, cfg.perturbation)
     total_iterations = 0
     best_cost = float("inf")
     best_theta = plan.tau.copy()
@@ -240,7 +258,7 @@ def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -
         alpha = cfg.alpha
         for _ in range(cfg.max_iterations):
             total_iterations += 1
-            cost0, grads = _batched_costs(plan, spec, rule, theta, m_idx, cfg.perturbation)
+            cost0, grads = workspace.costs(theta)
             if trajectory is not None:
                 trajectory.append(float(cost0))
             if cost0 <= cfg.cost_tolerance:

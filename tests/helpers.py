@@ -7,9 +7,11 @@ import math
 import numpy as np
 
 import qbagx as q
+from qbagx.errors import UndefinedStrengthError
 from qbagx.explanation import OrderingRule
 from qbagx.oracle import _grid_values
-from qbagx.semantics import compile_graph, evaluate_matrix
+from qbagx.search import AdamState, SearchConfig, SearchOutcome, adam_step
+from qbagx.semantics import check_scores_in_domain, compile_graph, evaluate_matrix
 
 FIG_EDGES = {
     "attacks": [("a", "b"), ("d", "e")],
@@ -119,3 +121,100 @@ def brute_force_reference(query: q.ExplanationQuery, grid: q.GridSpec, mode: str
 
     best_entries = min(entries_of(int(c)) for c in winners)
     return q.StrengthChange(dict(best_entries)), float(best_norm), winners
+
+
+def batched_costs_reference(plan, spec, rule, theta, m_idx, eps):
+    """Reference for the search's finite differences: a fresh batch per call,
+    perturbed by a forward step, or a backward one where a forward step would
+    leave the domain, evaluated through evaluate_matrix. Returns the cost at
+    theta and the gradient for every mutable index."""
+    n_m = len(m_idx)
+    batch = np.repeat(theta[:, None], n_m + 1, axis=1)
+    if spec.domain.bounded:
+        dirs = np.where(theta[m_idx] + eps > spec.domain.upper, -1.0, 1.0)
+    else:
+        dirs = np.ones(n_m)
+    batch[m_idx, np.arange(1, n_m + 1)] += dirs * eps
+    sigma, defined = evaluate_matrix(plan, spec, batch)
+    if not defined.all():
+        raise UndefinedStrengthError("strength evaluation did not converge during the search")
+    costs = rule.costs(sigma)
+    grads = dirs * (costs[1:] - costs[0]) / eps
+    return costs[0], grads
+
+
+def search_reference(query: q.ExplanationQuery, cfg: SearchConfig | None = None) -> SearchOutcome:
+    """Reference for heuristic_search: the same loop with a fresh
+    finite-difference batch per iteration (batched_costs_reference) and
+    np.clip for the clamp to the domain."""
+    cfg = cfg or SearchConfig()
+    spec = query.semantics
+    plan = compile_graph(query.graph)
+    check_scores_in_domain(plan, spec, plan.tau[:, None])
+    rule = OrderingRule(plan.index, query.ordering)
+    m_ids = sorted(query.mutable)
+    m_idx = np.array([plan.index[a] for a in m_ids], dtype=int)
+    trajectory: list[float] | None = [] if cfg.record_trajectory else None
+
+    def clamp(v):
+        return np.clip(v, spec.domain.lower, spec.domain.upper)
+
+    def check(theta):
+        sigma, defined = evaluate_matrix(plan, spec, theta[:, None])
+        if not defined.all():
+            raise UndefinedStrengthError("strength evaluation did not converge during the search")
+        cost = float(rule.costs(sigma)[0])
+        if cost > cfg.cost_tolerance:
+            return cost, False
+        return cost, cfg.satisfaction == "weak" or bool(rule.holds(sigma, "exact")[0])
+
+    def outcome(found, theta, iterations, cost):
+        change = q.StrengthChange({
+            a: float(theta[plan.index[a]])
+            for a in m_ids
+            if theta[plan.index[a]] != plan.tau[plan.index[a]]
+        }) if found else None
+        return SearchOutcome(
+            "found" if found else "not_found",
+            change,
+            iterations,
+            cost,
+            {a: float(theta[plan.index[a]]) for a in plan.ids},
+            trajectory,
+        )
+
+    if not m_ids:
+        cost, ok = check(plan.tau)
+        return outcome(ok, plan.tau, 1, cost)
+
+    total_iterations = 0
+    best_cost = float("inf")
+    best_theta = plan.tau.copy()
+    for restart in range(cfg.restarts + 1):
+        theta = plan.tau.copy()
+        if restart > 0:
+            rng = np.random.default_rng(cfg.rng_seed + restart)
+            jitter = rng.uniform(-cfg.restart_jitter, cfg.restart_jitter, size=len(m_idx))
+            theta[m_idx] = clamp(plan.tau[m_idx] + jitter)
+        adam = AdamState(np.zeros(len(m_idx)), np.zeros(len(m_idx)))
+        alpha = cfg.alpha
+        for _ in range(cfg.max_iterations):
+            total_iterations += 1
+            cost0, grads = batched_costs_reference(plan, spec, rule, theta, m_idx, cfg.perturbation)
+            if trajectory is not None:
+                trajectory.append(float(cost0))
+            if cost0 <= cfg.cost_tolerance:
+                cost, ok = check(theta)
+                if ok:
+                    return outcome(True, theta, total_iterations, cost)
+                if not np.any(grads):
+                    break
+            adam, step = adam_step(adam, grads, alpha, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            theta[m_idx] = clamp(theta[m_idx] + step)
+            alpha *= cfg.alpha_decay
+        cost_end, _ = check(theta)
+        if cost_end < best_cost:
+            best_cost = cost_end
+            best_theta = theta.copy()
+
+    return outcome(False, best_theta, total_iterations, best_cost)

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qbagx as q
+import qbagx.search
+from qbagx.explanation import OrderingRule
 from qbagx.search import AdamState, adam_step
+from qbagx.semantics import compile_graph
 
-from helpers import fig_graph, fig_query, random_tiny_query
+from helpers import batched_costs_reference, fig_graph, fig_query, random_dag, random_tiny_query, search_reference
 
 
 def test_relu_cost_zero_when_satisfied():
@@ -208,3 +213,99 @@ def test_search_accepts_convergent_cyclic_graph():
     outcome = q.heuristic_search(query, q.SearchConfig(max_iterations=60))
     if outcome.found:
         assert q.is_explanation(query, outcome.change, mode="weak")
+
+
+def _at_upper_bound(query):
+    """The query with every mutable base score at the domain's upper bound
+    (1.0), where every forward step leaves the domain."""
+    g = query.graph
+    scores = {a: (1.0 if a in query.mutable else v) for a, v in g.base_scores.items()}
+    return dataclasses.replace(query, graph=q.make_qbag(scores, g.attacks, g.supports))
+
+
+def _cyclic_query(seed):
+    """random_tiny_query with its first edge (a, b) closed into a cycle by a
+    support (b, a)."""
+    query = random_tiny_query(seed)
+    g = query.graph
+    a, b = min(g.edges())
+    cyclic = q.make_qbag(g.base_scores, g.attacks, g.supports | {(b, a)})
+    assert q.topological_order(cyclic) is None
+    return dataclasses.replace(query, graph=cyclic)
+
+
+def test_search_matches_reference_loop():
+    """The search's reused workspace and bare level pass give the reference
+    loop's trajectories bit for bit (fresh batch, evaluate_matrix, np.clip)."""
+    cases = []
+    for seed in range(8):
+        for token in ("dfquad", "eb", "qe", "naive"):
+            query = random_tiny_query(seed, q.builtin_semantics(token))
+            cases.append((query, q.SearchConfig(max_iterations=60)))
+            cases.append((_at_upper_bound(query), q.SearchConfig(max_iterations=60)))
+        query = random_tiny_query(seed)
+        cases.append((query, q.SearchConfig(max_iterations=15, restarts=2, rng_seed=seed)))
+        cases.append((query, q.SearchConfig(max_iterations=40, satisfaction="exact", cost_tolerance=1e-3)))
+        cases.append((_cyclic_query(seed), q.SearchConfig(max_iterations=30)))
+    iterations = 0
+    for query, cfg in cases:
+        cfg = dataclasses.replace(cfg, record_trajectory=True)
+        got, want = q.heuristic_search(query, cfg), search_reference(query, cfg)
+        for field in ("status", "change", "iterations_used", "final_cost", "final_scores", "trajectory"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert got.to_json() == want.to_json()  # also tells -0.0 from 0.0
+        iterations += got.iterations_used
+    assert iterations > 1500
+
+
+def test_finite_diff_gradient_matches_reference():
+    backward = 0
+    for seed in range(20):
+        for token in ("dfquad", "eb", "qe", "naive"):
+            query = random_tiny_query(seed, q.builtin_semantics(token))
+            for query in (query, _at_upper_bound(query)):
+                g = query.graph
+                plan = compile_graph(g)
+                m_ids = sorted(query.mutable)
+                m_idx = np.array([plan.index[a] for a in m_ids], dtype=int)
+                rule = OrderingRule(plan.index, query.ordering)
+                _, want = batched_costs_reference(plan, query.semantics, rule, plan.tau.copy(), m_idx, 1e-4)
+                got = q.finite_diff_gradient(g, query.semantics, query.ordering, query.mutable)
+                assert list(got.values()) == want.tolist()
+                assert list(got) == m_ids
+                if query.semantics.domain.bounded:
+                    backward += sum(g.base_scores[a] == 1.0 and v != 0.0 for a, v in got.items())
+    assert backward > 10  # backward differences are exercised, not only forward ones
+
+
+def test_search_reuses_one_workspace(monkeypatch):
+    """An acyclic search evaluates its finite-difference batches through the
+    level pass into buffers it allocates once; evaluate_matrix runs only for
+    the width-1 acceptance checks."""
+    widths, passes = [], []
+    evaluate, level_pass = qbagx.search.evaluate_matrix, qbagx.search.level_pass
+
+    def recording_evaluate(plan, spec, tau, *args, **kwargs):
+        widths.append(tau.shape[1])
+        return evaluate(plan, spec, tau, *args, **kwargs)
+
+    def recording_pass(plan, spec, tau, src, out):
+        passes.append((tau, src, out))
+        return level_pass(plan, spec, tau, src, out)
+
+    monkeypatch.setattr(qbagx.search, "evaluate_matrix", recording_evaluate)
+    monkeypatch.setattr(qbagx.search, "level_pass", recording_pass)
+    unreachable = q.ExplanationQuery(
+        q.make_qbag({"m": 0.5, "t": 0.2, "u": 0.6}, supports=[("t", "m")]),
+        q.DFQUAD, frozenset({"m"}), q.ordering_from_tiers([["u"], ["t"]]),
+    )
+    for query, found in ((fig_query(), True), (unreachable, False)):
+        widths.clear()
+        passes.clear()
+        outcome = q.heuristic_search(query, q.SearchConfig(max_iterations=20, restarts=2))
+        assert outcome.found == found and outcome.iterations_used > 1
+        assert len(passes) == outcome.iterations_used
+        batch, sigma, _ = passes[0]
+        assert batch.shape == (len(query.graph.arguments), len(query.mutable) + 1)
+        assert all(t is batch and src is sigma and out is sigma for t, src, out in passes)
+        assert widths and set(widths) == {1}

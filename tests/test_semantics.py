@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qbagx as q
+from qbagx import semantics
 from qbagx.errors import CyclicGraphError, DomainError
 from qbagx.graph import reachable_from
 from qbagx.semantics import Influence, compile_graph, evaluate_matrix
@@ -185,17 +186,85 @@ def test_engine_matches_scalar_reference_on_random_graphs():
                 assert sigma[a] == pytest.approx(expected[a], abs=1e-12), (seed, token, a)
 
 
+def _with_back_edges(inst, seed, count=4):
+    """The layered instance's graph plus seeded edges from the last layer
+    back to the second, each an attack or a support."""
+    rng = np.random.default_rng(seed)
+    g = inst.graph
+    last, second = inst.layers[-1], inst.layers[1]
+    attacks, supports = set(g.attacks), set(g.supports)
+    for _ in range(count):
+        edge = (last[rng.integers(len(last))], second[rng.integers(len(second))])
+        if edge not in attacks and edge not in supports:
+            (attacks if rng.random() < 0.5 else supports).add(edge)
+    return q.make_qbag(g.base_scores, attacks, supports)
+
+
 def test_batched_evaluation_matches_single_columns():
-    g, _, _ = random_dag(11)
-    plan = compile_graph(g)
+    """A column's strengths agree with its width-1 evaluation to the
+    tolerance evaluate_matrix documents: 1e-12 on acyclic plans, 10 *
+    spec.epsilon on cyclic ones."""
+    graphs = [random_dag(11)[0]]
+    for seed in (1, 2):
+        inst = q.generate(q.GenSpec(q.structure((8, 32, 16, 8)), "random", seed))
+        graphs += [inst.graph, _with_back_edges(inst, seed)]
+    assert sum(q.topological_order(g) is None for g in graphs) == 2
+    for k, g in enumerate(graphs):
+        plan = compile_graph(g)
+        width = 7 if k == 0 else 105
+        tau = np.random.default_rng(k).random((plan.n, width))
+        for token in ("dfquad", "eb", "qe"):
+            spec = q.builtin_semantics(token)
+            tolerance = 1e-12 if plan.acyclic else 10 * spec.epsilon
+            sigma, defined = evaluate_matrix(plan, spec, tau)
+            assert defined.all()
+            for b in range(width):
+                single, single_defined = evaluate_matrix(plan, spec, tau[:, b : b + 1])
+                assert single_defined.all()
+                assert np.abs(sigma[:, b] - single[:, 0]).max() <= tolerance, (k, token, b)
+
+
+def _p_max_two_terms(inf, w, s):
+    """The p_max influence as the module docstring writes it, with both h
+    terms: the reference for the one-np.where form."""
+    hneg = np.maximum(0.0, -s / inf.k) ** inf.p
+    hpos = np.maximum(0.0, s / inf.k) ** inf.p
+    return w - w * (hneg / (1.0 + hneg)) + (1.0 - w) * (hpos / (1.0 + hpos))
+
+
+def test_p_max_matches_two_term_formula_bit_for_bit():
     rng = np.random.default_rng(0)
-    tau = rng.random((plan.n, 7))
-    for token in ("dfquad", "eb", "qe"):
-        spec = q.builtin_semantics(token)
-        sigma, _ = evaluate_matrix(plan, spec, tau)
-        for b in range(7):
-            single, _ = evaluate_matrix(plan, spec, tau[:, b : b + 1])
-            assert np.allclose(sigma[:, b], single[:, 0], atol=1e-12)
+    w = np.concatenate([[0.0, -0.0, 1.0, 1 / 3, 0.7], rng.random(200)])
+    for scale in (1e-300, 1e-3, 1.0, 30.0, 1e300):
+        s = rng.normal(size=w.size) * scale
+        s[:6] = [0.0, -0.0, 0.0, -0.0, 1e-320, -1e-320]
+        for k, p in ((1.0, 2), (1.0, 1), (0.5, 3), (2.0, 2)):
+            inf = Influence("p_max", k=k, p=p)
+            with np.errstate(over="ignore", invalid="ignore"):  # h overflows to inf/inf at 1e300
+                got = semantics._apply_influence(inf, w, s)
+                want = _p_max_two_terms(inf, w, s)
+            assert np.array_equal(got, want, equal_nan=True), (scale, k, p)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (scale, k, p)
+
+
+def test_parentless_strength_is_influence_at_zero_bit_for_bit():
+    """The level pass skips the aggregate of parentless arguments; their
+    strength equals influence(w, 0) exactly, signed zeros included."""
+    scores = {"a": 0.0, "b": 1.0, "c": 1 / 3, "d": 0.7, "e": -0.0, "t": 0.5}
+    g = q.make_qbag(scores, attacks=[("a", "t"), ("c", "t")], supports=[("b", "t"), ("d", "t"), ("e", "t")])
+    influences = (
+        Influence("linear", k=1.0), Influence("linear", k=2.0), Influence("euler_based"),
+        Influence("p_max", k=1.0, p=2), Influence("p_max", k=1.0, p=3), Influence("additive"),
+    )
+    for inf in influences:
+        domain = q.ALL_REALS if inf.kind == "additive" else q.UNIT_INTERVAL
+        spec = q.SemanticsSpec("sum", inf, domain)
+        sigma = q.final_strengths(g, spec)
+        for a, w in scores.items():
+            if a == "t":
+                continue
+            want = q.influence_value(inf, w, 0.0)
+            assert sigma[a] == want and np.signbit(sigma[a]) == np.signbit(want), (inf, a)
 
 
 def test_stability_principle_on_random_graphs():

@@ -11,8 +11,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Collection
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain, count
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import GraphFormatError, UnknownArgumentError
 
@@ -59,28 +63,54 @@ def make_qbag(
     """Validate and build a graph.
 
     Rejects empty/non-string ids, non-numeric or non-finite scores, edges
-    with unknown endpoints, and any edge present in both relations.
+    with unknown endpoints, and any edge present in both relations. The
+    checks run as bulk passes; only when one fails does a per-item loop name
+    the first bad entry. A frozenset of (str, str) tuples is kept as it is,
+    so graphs derived from one another share their edge sets.
     """
-    scores: dict[str, float] = {}
-    for arg in sorted(base_scores):
-        if not isinstance(arg, str) or not arg:
-            raise GraphFormatError(f"argument id must be a non-empty string, got {arg!r}")
-        value = base_scores[arg]
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise GraphFormatError(f"base score of {arg!r} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise GraphFormatError(f"base score of {arg!r} must be finite, got {value!r}")
-        scores[arg] = float(value)
+    return _checked_qbag(base_scores, _edge_set(attacks), _edge_set(supports))
 
-    att = frozenset((str(a), str(b)) for a, b in attacks)
-    supp = frozenset((str(a), str(b)) for a, b in supports)
-    for a, b in att | supp:
-        if a not in scores or b not in scores:
-            raise GraphFormatError(f"edge ({a!r}, {b!r}) has an endpoint outside the argument set")
-    both = att & supp
-    if both:
-        raise GraphFormatError(f"edges in both attack and support relations: {sorted(both)}")
+
+def _checked_qbag(base_scores: Mapping[str, float], att: frozenset[Edge], supp: frozenset[Edge]) -> QBAG:
+    """make_qbag on edge sets already made of (str, str) tuples."""
+    ids = sorted(base_scores)
+    values = list(map(base_scores.__getitem__, ids))
+    if not (set(map(type, ids)) <= {str} and all(ids) and set(map(type, values)) <= {float, int}
+            and all(map(math.isfinite, values))):
+        for arg, value in zip(ids, values):
+            if not isinstance(arg, str) or not arg:
+                raise GraphFormatError(f"argument id must be a non-empty string, got {arg!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise GraphFormatError(f"base score of {arg!r} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise GraphFormatError(f"base score of {arg!r} must be finite, got {value!r}")
+    scores = dict(zip(ids, map(float, values)))
+
+    endpoints = set(chain.from_iterable(att))
+    endpoints.update(chain.from_iterable(supp))
+    if not scores.keys() >= endpoints:
+        for a, b in sorted(att | supp):
+            if a not in scores or b not in scores:
+                raise GraphFormatError(f"edge ({a!r}, {b!r}) has an endpoint outside the argument set")
+    if not att.isdisjoint(supp):
+        raise GraphFormatError(f"edges in both attack and support relations: {sorted(att & supp)}")
     return QBAG(tuple(scores), scores, att, supp)
+
+
+def _str_pairs(items: Collection, kind: type) -> bool:
+    """True iff every item is a `kind` of exactly two str: three C-level passes."""
+    return (set(map(type, items)) <= {kind} and set(map(len, items)) <= {2}
+            and set(map(type, chain.from_iterable(items))) <= {str})
+
+
+def _edge_set(edges: Iterable[Edge]) -> frozenset[Edge]:
+    """The edges as a frozenset of (str, str) tuples; one that already is
+    such a frozenset is returned as it is."""
+    if not isinstance(edges, Collection):
+        edges = list(edges)
+    if _str_pairs(edges, tuple):
+        return frozenset(edges)
+    return frozenset((str(a), str(b)) for a, b in edges)
 
 
 def successors_map(g: QBAG) -> dict[str, list[str]]:
@@ -139,50 +169,74 @@ def restrict(g: QBAG, keep: Iterable[str]) -> QBAG:
 
 def topological_order(g: QBAG) -> list[str] | None:
     """Arguments ordered so every edge goes forward, or None if the graph
-    is cyclic: the topological levels in turn, each sorted by id."""
+    is cyclic: the topological levels in turn."""
     levels = topological_levels(g)
     return None if levels is None else [a for level in levels for a in level]
 
 
 def topological_levels(g: QBAG) -> list[list[str]] | None:
     """Group arguments by longest-path depth (parents always in earlier
-    levels), each level sorted by id, or None if cyclic. Kahn's algorithm
-    peeling whole frontiers: an argument's round is its depth."""
-    succ: dict[str, list[str]] = {a: [] for a in g.arguments}
-    indeg = dict.fromkeys(g.arguments, 0)
-    for edges in (g.attacks, g.supports):
-        for a, b in edges:
-            succ[a].append(b)
-            indeg[b] += 1
-    levels: list[list[str]] = []
-    frontier = [a for a in g.arguments if indeg[a] == 0]
-    while frontier:
-        levels.append(frontier)
-        nxt = []
-        for x in frontier:
-            for y in succ[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    nxt.append(y)
-        frontier = sorted(nxt)
-    if sum(map(len, levels)) != len(g.arguments):
+    levels), or None if cyclic. Each level follows argument order, which is
+    sorted by id for graphs from make_qbag and parse_qbag."""
+    depth = index_form(g.arguments, g.attacks, g.supports).depth
+    if depth is None:
         return None
+    levels: list[list[str]] = [[] for _ in range(int(depth.max(initial=-1)) + 1)]
+    for a, d in zip(g.arguments, depth.tolist()):
+        levels[d].append(a)
     return levels
+
+
+class IndexForm(NamedTuple):
+    """A topology as arrays over argument positions (the order of the
+    arguments): edge sources, targets and signs (attack -1.0, support
+    +1.0), attacks first, and each argument's Kahn depth, or None if cyclic."""
+
+    index: dict[str, int]
+    src: np.ndarray
+    dst: np.ndarray
+    sign: np.ndarray
+    depth: np.ndarray | None
+
+
+def index_form(arguments: Sequence[str], attacks: Collection[Edge], supports: Collection[Edge]) -> IndexForm:
+    """Map the edges to index arrays, then peel Kahn frontiers: every round
+    takes the arguments left without unprocessed parents, so an argument's
+    round is its longest-path depth. One bincount per round."""
+    index = {a: i for i, a in enumerate(arguments)}
+    n, n_att = len(index), len(attacks)
+    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(chain(attacks, supports))),
+                       dtype=np.intp, count=2 * (n_att + len(supports))).reshape(-1, 2)
+    src, dst = ends[:, 0], ends[:, 1]
+    sign = np.ones(len(ends))
+    sign[:n_att] = -1.0
+
+    indeg = np.bincount(dst, minlength=n)
+    depth = np.empty(n, dtype=np.intp)
+    frontier = indeg == 0
+    for d in count():
+        depth[frontier] = d
+        indeg[frontier] = -1  # peeled: never a frontier again
+        reached = dst[frontier[src]]
+        if not reached.size:
+            break
+        indeg -= np.bincount(reached, minlength=n)
+        frontier = indeg == 0
+    return IndexForm(index, src, dst, sign, None if (indeg >= 0).any() else depth)
 
 
 _ARG_KEYS = {"id", "base_score"}
 _TOP_KEYS = {"arguments", "attacks", "supports"}
 
 
-def _parse_edges(raw: object, label: str) -> list[Edge]:
+def _parse_edges(raw: object, label: str) -> frozenset[Edge]:
     if not isinstance(raw, list):
         raise GraphFormatError(f"{label} must be a list of [from, to] pairs")
-    edges = []
-    for item in raw:
-        if not isinstance(item, list) or len(item) != 2 or not all(isinstance(e, str) for e in item):
-            raise GraphFormatError(f"bad {label} entry: {item!r}")
-        edges.append((item[0], item[1]))
-    return edges
+    if not _str_pairs(raw, list):
+        for item in raw:
+            if not isinstance(item, list) or len(item) != 2 or not all(isinstance(e, str) for e in item):
+                raise GraphFormatError(f"bad {label} entry: {item!r}")
+    return frozenset(map(tuple, raw))
 
 
 def reject_constant(name: str):
@@ -228,7 +282,7 @@ def parse_qbag(data: bytes | str) -> QBAG:
             raise GraphFormatError(f"duplicate argument id: {arg!r}")
         scores[arg] = entry["base_score"]
 
-    return make_qbag(
+    return _checked_qbag(
         scores,
         _parse_edges(doc.get("attacks", []), "attacks"),
         _parse_edges(doc.get("supports", []), "supports"),

@@ -17,23 +17,29 @@ Built-ins: dfquad = (product, linear(1)), eb = (sum, euler_based),
 qe = (sum, 2-max(1)), all over [0, 1]; naive = (sum, additive) over the
 reals, defined for acyclic graphs only.
 
-A topology compiles once into a GraphPlan; each column of a base-score
-matrix is one assignment of base scores to it. Acyclic graphs are evaluated
-by a single forward pass over topological levels (exact); cyclic graphs by
-synchronous fixed-point iteration from the base scores, with non-convergent
-arguments reported as undefined. Both run the same pass over plan blocks.
+A topology compiles once into a GraphPlan: its blocks are built in numpy
+from the graph's index form and memoized, so graphs that share a topology
+(a search, its verification, the strengths of its result) share them, while
+each plan's tau holds its own graph's base scores. Each column of a
+base-score matrix is one assignment of base scores to a plan. Acyclic
+graphs are evaluated by a single forward pass over topological levels
+(exact); cyclic graphs by synchronous fixed-point iteration from the base
+scores, with non-convergent arguments reported as undefined. Both run the
+same pass over plan blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import CyclicGraphError, DomainError
-from .graph import QBAG, parents_map, reachable_from, restrict, topological_levels
+from .graph import QBAG, index_form, parents_map, reachable_from, restrict, topological_levels
 
 # Absolute tolerance for float comparisons in principle checks.
 CHECK_TOL = 1e-12
@@ -41,6 +47,8 @@ CHECK_TOL = 1e-12
 # Floor for 1 - s before taking logs in the product aggregation; keeps the
 # fast exp(mask @ log(...)) path finite when some strength equals 1.
 _LOG_FLOOR = 1e-300
+
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,10 @@ class Influence:
     def __post_init__(self):
         if self.kind not in ("linear", "euler_based", "p_max", "additive"):
             raise ValueError(f"unknown influence kind: {self.kind!r}")
-        if not 0.0 < self.k < math.inf:
-            raise ValueError("influence parameter k must be positive and finite")
+        # linear divides by k; a k whose reciprocal overflows turns w / k
+        # into inf and a zero aggregate's term into inf * 0 = NaN
+        if not (0.0 < self.k < math.inf and math.isfinite(1.0 / self.k)):
+            raise ValueError("influence parameter k must be positive, finite and have a finite reciprocal")
         if self.kind == "p_max" and (self.p < 1 or int(self.p) != self.p):
             raise ValueError("p_max needs a positive integer p")
 
@@ -162,14 +172,18 @@ def aggregate(kind: str, attacker_strengths: Iterable[float], supporter_strength
 def _apply_influence(inf: Influence, w, s):
     """Influence formulas, vectorized over numpy arrays (or floats)."""
     if inf.kind == "linear":
-        return w - (w / inf.k) * np.maximum(0.0, -s) + ((1.0 - w) / inf.k) * np.maximum(0.0, s)
+        # dividing by 1.0 is exact, so DF-QuAD's k = 1 skips both divisions
+        w_k, rest_k = (w, 1.0 - w) if inf.k == 1.0 else (w / inf.k, (1.0 - w) / inf.k)
+        return w - w_k * np.maximum(0.0, -s) + rest_k * np.maximum(0.0, s)
     if inf.kind == "euler_based":
         return 1.0 - (1.0 - w * w) / (1.0 + w * np.exp(s))
     if inf.kind == "p_max":
         # h(s/k) and h(-s/k) share |s/k|, and one of the two is 0, so its
         # term adds or subtracts an exact zero: one h and one np.where give
-        # the two-term formula of the module docstring bit for bit
-        hs = np.abs(s / inf.k) ** inf.p
+        # the two-term formula of the module docstring bit for bit. Capping
+        # |s/k|^p at the largest float gives h its limit 1.0 where the power
+        # overflows (inf / inf would be NaN) and leaves finite values as they are.
+        hs = np.minimum(np.abs(s / inf.k) ** inf.p, _FLOAT_MAX)
         h = hs / (1.0 + hs)
         return np.where(s > 0.0, w + (1.0 - w) * h, w - w * h)
     # additive
@@ -181,50 +195,89 @@ def influence_value(inf: Influence, w: float, s: float) -> float:
 
 
 class GraphPlan:
-    """Index-based evaluation plan, compiled once per graph topology.
+    """Index-based evaluation plan: one graph's base scores on its topology.
 
     `blocks` lists (rows, cols, w, att, supp): rows evaluated together, the
     parent columns their aggregation reads, and over (rows, cols) the signed
     weight (support +1, attack -1) and the attack and support 0/1 matrices.
     An acyclic graph has one block per topological level with only that
     level's parents as columns, so no n x n matrix; a cyclic graph has one
-    block over all rows and columns. `tau` holds the graph's base scores.
+    block over all rows and columns. The topology part (ids, index, n,
+    acyclic, blocks) is built once and memoized, so graphs with one topology
+    share it and its arrays are read-only; `graph` and `tau`, the graph's
+    base scores, belong to each plan.
     """
 
     def __init__(self, g: QBAG):
         self.graph = g
-        self.ids = list(g.arguments)
-        self.index = {a: i for i, a in enumerate(self.ids)}
-        n = len(self.ids)
-        self.n = n
-        self.tau = np.array([g.base_scores[a] for a in self.ids], dtype=float)
-        levels = topological_levels(g)
-        self.acyclic = levels is not None
-        groups = levels if levels is not None else [self.ids]
-        # block and row position of each argument
-        where = {a: (k, r) for k, members in enumerate(groups) for r, a in enumerate(members)}
-        entries: list[list[tuple[int, int, float]]] = [[] for _ in groups]
-        for sign, relation in ((-1.0, g.attacks), (1.0, g.supports)):
-            for a, b in relation:
-                k, r = where[b]
-                entries[k].append((r, self.index[a], sign))
-
-        self.blocks = []
-        for members, block in zip(groups, entries):
-            cols = sorted({j for _, j, _ in block}) if self.acyclic else range(n)
-            col_pos = {j: c for c, j in enumerate(cols)}
-            w = np.zeros((len(members), len(cols)))
-            w[[r for r, _, _ in block], [col_pos[j] for _, j, _ in block]] = [v for _, _, v in block]
-            rows = [self.index[a] for a in members]
-            self.blocks.append((_indexer(rows), _indexer(cols), w, (w < 0.0) * 1.0, (w > 0.0) * 1.0))
+        self.ids, self.index, self.n, self.acyclic, self.blocks = _topology(
+            tuple(g.arguments), frozenset(g.attacks), frozenset(g.supports)
+        )
+        self.tau = np.fromiter(map(g.base_scores.__getitem__, self.ids), dtype=float, count=self.n)
 
 
-def _indexer(ascending) -> slice | np.ndarray:
-    """Ascending unique indices as a slice when they form one contiguous run
-    (indexing then makes a view, not a copy), else as an index array."""
-    if len(ascending) and ascending[-1] - ascending[0] == len(ascending) - 1:
-        return slice(ascending[0], ascending[-1] + 1)
-    return np.array(ascending, dtype=int)
+class _Topology(NamedTuple):
+    ids: tuple[str, ...]
+    index: Mapping[str, int]
+    n: int
+    acyclic: bool
+    blocks: tuple[tuple, ...]
+
+
+# Topologies the memo keeps. A request compiles one topology several times
+# in a row (a search, its verification, the strengths of its result), and
+# every entry keeps its graph's edge sets alive, so the memo stays small.
+_TOPOLOGY_MEMO = 2
+
+
+@lru_cache(maxsize=_TOPOLOGY_MEMO)
+def _topology(arguments: tuple[str, ...], attacks: frozenset, supports: frozenset) -> _Topology:
+    """The blocks of a topology, built from its index form with no per-edge
+    loop. A block's rows are its level's members in argument order and its
+    columns the distinct (level, source) pairs of the level's edges; a
+    cyclic graph is one level whose columns are all arguments. Every
+    block's weights are one view into a single flat array."""
+    index, src, dst, sign, depth = index_form(arguments, attacks, supports)
+    n = len(arguments)
+    level = np.zeros(n, dtype=np.intp) if depth is None else depth
+    edge_level = level[dst]
+    key = edge_level * n + src  # (level, source) of each edge
+    col_keys = np.arange(n) if depth is None else np.unique(key)
+    levels = int(level.max(initial=-1)) + 1
+    members = np.argsort(level, kind="stable")
+    row_count = np.bincount(level, minlength=levels)
+    row_start = np.cumsum(row_count) - row_count
+    row_of = np.empty(n, dtype=np.intp)
+    row_of[members] = np.arange(n) - row_start[level[members]]
+    col_level, cols = np.divmod(col_keys, n)
+    col_count = np.bincount(col_level, minlength=levels)
+    col_start = np.cumsum(col_count) - col_count
+    size = row_count * col_count
+    offset = np.cumsum(size) - size
+
+    col_of = np.searchsorted(col_keys, key) - col_start[edge_level]
+    w = np.zeros(int(size.sum()))
+    w[offset[edge_level] + row_of[dst] * col_count[edge_level] + col_of] = sign
+    flat = (members, cols, w, (w < 0.0) * 1.0, (w > 0.0) * 1.0)
+    for part in flat:
+        part.flags.writeable = False  # views made from here on are read-only too
+    member_ids, col_ids = members.tolist(), cols.tolist()
+
+    blocks = []
+    for r0, nr, c0, nc, o in zip(*(a.tolist() for a in (row_start, row_count, col_start, col_count, offset))):
+        weights = tuple(part[o:o + nr * nc].reshape(nr, nc) for part in flat[2:])
+        blocks.append((_indexer(members, member_ids, r0, nr), _indexer(cols, col_ids, c0, nc)) + weights)
+    return _Topology(arguments, MappingProxyType(index), n, depth is not None, tuple(blocks))
+
+
+def _indexer(ascending: np.ndarray, listed: list[int], start: int, count: int) -> slice | np.ndarray:
+    """ascending[start:start + count], unique indices in ascending order
+    (`listed` is the same as a list), as a slice when they form one
+    contiguous run (indexing then makes a view, not a copy), else as an
+    index array."""
+    if count and listed[start + count - 1] - listed[start] == count - 1:
+        return slice(listed[start], listed[start + count - 1] + 1)
+    return ascending[start:start + count]
 
 
 def compile_graph(g: QBAG) -> GraphPlan:
@@ -259,8 +312,9 @@ def level_pass(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, src: np.nd
             agg = w @ src[cols]
         else:
             factors = 1.0 - src[cols]
-            if factors.min() >= 0.0:
-                logs = np.log(np.maximum(factors, _LOG_FLOOR))
+            low = np.minimum.reduce(factors, axis=None)
+            if low >= 0.0:  # the floor only moves factors below it
+                logs = np.log(factors if low >= _LOG_FLOOR else np.maximum(factors, _LOG_FLOOR))
                 agg = np.exp(att @ logs) - np.exp(supp @ logs)
             else:  # negative factors (out-of-domain strengths): exact masked products
                 agg = _masked_product(att, factors) - _masked_product(supp, factors)

@@ -218,3 +218,97 @@ def search_reference(query: q.ExplanationQuery, cfg: SearchConfig | None = None)
             best_theta = theta.copy()
 
     return outcome(False, best_theta, total_iterations, best_cost)
+
+
+def topological_levels_reference(g: q.QBAG) -> list[list[str]] | None:
+    """Reference for graph.topological_levels: Kahn's algorithm in Python
+    over a successor map, peeling whole frontiers; the first level follows
+    argument order, later ones are sorted by id."""
+    succ: dict[str, list[str]] = {a: [] for a in g.arguments}
+    indeg = dict.fromkeys(g.arguments, 0)
+    for edges in (g.attacks, g.supports):
+        for a, b in edges:
+            succ[a].append(b)
+            indeg[b] += 1
+    levels: list[list[str]] = []
+    frontier = [a for a in g.arguments if indeg[a] == 0]
+    while frontier:
+        levels.append(frontier)
+        nxt = []
+        for x in frontier:
+            for y in succ[x]:
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    nxt.append(y)
+        frontier = sorted(nxt)
+    if sum(map(len, levels)) != len(g.arguments):
+        return None
+    return levels
+
+
+def _indexer_reference(ascending):
+    if len(ascending) and ascending[-1] - ascending[0] == len(ascending) - 1:
+        return slice(ascending[0], ascending[-1] + 1)
+    return np.array(ascending, dtype=int)
+
+
+def plan_blocks_reference(g: q.QBAG) -> list[tuple]:
+    """Reference for GraphPlan.blocks: the per-edge Python builder over the
+    reference levels, one (rows, cols, w, att, supp) block per level, or one
+    block over all rows and columns when the graph is cyclic."""
+    ids = list(g.arguments)
+    index = {a: i for i, a in enumerate(ids)}
+    n = len(ids)
+    levels = topological_levels_reference(g)
+    acyclic = levels is not None
+    groups = levels if acyclic else [ids]
+    where = {a: (k, r) for k, members in enumerate(groups) for r, a in enumerate(members)}
+    entries: list[list[tuple[int, int, float]]] = [[] for _ in groups]
+    for sign, relation in ((-1.0, g.attacks), (1.0, g.supports)):
+        for a, b in relation:
+            k, r = where[b]
+            entries[k].append((r, index[a], sign))
+    blocks = []
+    for members, block in zip(groups, entries):
+        cols = sorted({j for _, j, _ in block}) if acyclic else range(n)
+        col_pos = {j: c for c, j in enumerate(cols)}
+        w = np.zeros((len(members), len(cols)))
+        w[[r for r, _, _ in block], [col_pos[j] for _, j, _ in block]] = [v for _, _, v in block]
+        rows = [index[a] for a in members]
+        blocks.append((_indexer_reference(rows), _indexer_reference(cols), w, (w < 0.0) * 1.0, (w > 0.0) * 1.0))
+    return blocks
+
+
+def assert_same_blocks(blocks, reference) -> None:
+    """Blocks equal part by part: slices equal, arrays equal in value and dtype."""
+    assert len(blocks) == len(reference)
+    for block, ref in zip(blocks, reference):
+        assert len(block) == len(ref)
+        for part, ref_part in zip(block, ref):
+            assert type(part) is type(ref_part)
+            if isinstance(part, slice):
+                assert part == ref_part
+            else:
+                assert part.dtype == ref_part.dtype and part.shape == ref_part.shape
+                assert np.array_equal(part, ref_part)
+
+
+def plan_reference_cases() -> list[q.QBAG]:
+    """Graphs to compare the compile with its references on: random_dag
+    graphs, layered graphs with and without back edges, a self-loop,
+    isolated arguments, one argument and the empty graph."""
+    graphs = [random_dag(seed, 1, 14)[0] for seed in range(40)]
+    for seed, struct in enumerate(((4, 8, 4), (8, 32, 16, 8), (3, 1, 5, 2, 2))):
+        inst = q.generate(q.GenSpec(q.structure(struct), "random", seed))
+        g = inst.graph
+        graphs.append(g)
+        back = (inst.layers[-1][0], inst.layers[1][0])
+        graphs.append(q.make_qbag(g.base_scores, g.attacks, g.supports | {back}))
+    graphs += [
+        q.make_qbag({"x": 0.5, "y": 0.2}, attacks=[("x", "x")], supports=[("x", "y")]),
+        q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}, attacks=[("c", "a")]),
+        q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3}),
+        q.make_qbag({"only": 0.5}),
+        q.make_qbag({}),
+    ]
+    return graphs

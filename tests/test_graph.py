@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import qbagx as q
 from qbagx.errors import GraphFormatError, UnknownArgumentError
 
-from helpers import fig_graph, random_dag
+from helpers import fig_graph, plan_reference_cases, random_dag, topological_levels_reference
 
 
 def test_attackers_supporters_running_example():
@@ -122,6 +123,19 @@ def test_topological_levels_are_longest_path_depths():
             assert q.topological_levels(cyclic) is None
 
 
+def test_topological_levels_match_the_python_kahn_reference():
+    for g in plan_reference_cases():
+        assert q.topological_levels(g) == topological_levels_reference(g)
+
+
+def test_topological_levels_follow_argument_order():
+    # a QBAG built directly may list its arguments unsorted; levels keep that order
+    g = q.QBAG(("z", "b", "y", "a"), {"z": 0.1, "b": 0.2, "y": 0.3, "a": 0.4},
+               frozenset({("z", "y"), ("b", "a")}), frozenset())
+    assert q.topological_levels(g) == [["z", "b"], ["y", "a"]]
+    assert q.topological_order(g) == ["z", "b", "y", "a"]
+
+
 def test_non_finite_scores_rejected():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(GraphFormatError):
@@ -177,22 +191,66 @@ def test_parse_rejects_edge_in_both_relations():
         q.parse_qbag(doc)
 
 
+_AB = '{"arguments": [{"id":"a","base_score":0},{"id":"b","base_score":1}], '
+_MALFORMED = [
+    ("not json", "invalid JSON"),
+    ("[1,2]", "graph document must be a JSON object"),
+    ('{"arguments": [], "extra": 1}', "unknown keys in graph document: ['extra']"),
+    ('{"arguments": [{"id":"a","base_score":0,"color":"red"}]}', "unknown keys in argument entry: ['color']"),
+    ('{"arguments": [{"id":"a","base_score":0},{"id":"a","base_score":1}]}', "duplicate argument id: 'a'"),
+    ('{"arguments": [{"id":"a"}]}', "argument entry needs id and base_score"),
+    ('{"arguments": [{"id":"a","base_score":"x"}]}', "base score of 'a' must be a real number, got 'x'"),
+    ('{"arguments": [], "attacks": [["a"]]}', "bad attacks entry: ['a']"),
+    # the bulk edge checks fail; the per-entry loop names the first bad entry
+    (_AB + '"attacks": {}}', "attacks must be a list of [from, to] pairs"),
+    (_AB + '"attacks": [["a","b"], "ab"]}', "bad attacks entry: 'ab'"),
+    (_AB + '"supports": [{"a":1,"b":2}]}', "bad supports entry: {'a': 1, 'b': 2}"),
+    (_AB + '"attacks": [["a","b","c"], ["a",1]]}', "bad attacks entry: ['a', 'b', 'c']"),
+    (_AB + '"attacks": [["b","a"], ["a",1], [null,"a"]]}', "bad attacks entry: ['a', 1]"),
+    (_AB + '"supports": [[null,"a"]]}', "bad supports entry: [None, 'a']"),
+    (_AB + '"attacks": [["a","b"]], "supports": [["b","a"], ["z","a"]]}',
+     "edge ('z', 'a') has an endpoint outside the argument set"),
+    (_AB + '"attacks": [["a","b"], ["b","a"]], "supports": [["b","a"]]}',
+     "edges in both attack and support relations: [('b', 'a')]"),
+]
+
+
+@pytest.mark.parametrize("bad, message", [pytest.param(doc, msg, id=doc) for doc, msg in _MALFORMED])
+def test_parse_rejects_malformed_documents(bad, message):
+    with pytest.raises(GraphFormatError) as exc:
+        q.parse_qbag(bad)
+    assert message in str(exc.value)
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "scores, attacks, supports, message",
     [
-        "not json",
-        "[1,2]",
-        '{"arguments": [], "extra": 1}',
-        '{"arguments": [{"id":"a","base_score":0,"color":"red"}]}',
-        '{"arguments": [{"id":"a","base_score":0},{"id":"a","base_score":1}]}',
-        '{"arguments": [{"id":"a"}]}',
-        '{"arguments": [{"id":"a","base_score":"x"}]}',
-        '{"arguments": [], "attacks": [["a"]]}',
+        ({1: 0.5}, [], [], "argument id must be a non-empty string, got 1"),
+        ({"a": 0.5, "": 0.1}, [], [], "argument id must be a non-empty string, got ''"),
+        ({"a": 0.5, "b": "x"}, [], [], "base score of 'b' must be a real number, got 'x'"),
+        ({"a": 0.5, "b": np.float64("nan")}, [], [], "base score of 'b' must be finite, got"),
+        # endpoints are converted with str(), as they always were
+        ({"a": 0.5, "b": 0.1}, [("a", "b"), ("a", 1)], [], "edge ('a', '1') has an endpoint outside the argument set"),
+        ({"a": 0.5, "b": 0.1}, [("a", "b")], [("b", "a"), ("z", "b")],
+         "edge ('z', 'b') has an endpoint outside the argument set"),
+        ({"a": 0.5, "b": 0.1}, frozenset({("a", "b")}), [["a", "b"]], "edges in both attack and support relations"),
     ],
 )
-def test_parse_rejects_malformed_documents(bad):
-    with pytest.raises(GraphFormatError):
-        q.parse_qbag(bad)
+def test_make_qbag_names_the_first_bad_entry(scores, attacks, supports, message):
+    with pytest.raises(GraphFormatError) as exc:
+        q.make_qbag(scores, attacks, supports)
+    assert message in str(exc.value)
+
+
+def test_make_qbag_accepts_any_pair_iterables_and_shares_str_edge_sets():
+    g = q.make_qbag({"a": 0.5, "b": np.float64(0.25), "c": 1}, attacks=iter([["a", "b"]]), supports={("b", "c")})
+    assert g.attacks == {("a", "b")} and g.supports == {("b", "c")}
+    assert g.base_scores == {"a": 0.5, "b": 0.25, "c": 1.0}
+    assert all(type(v) is float for v in g.base_scores.values())
+    derived = q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3}, g.attacks, g.supports)
+    assert derived.attacks is g.attacks and derived.supports is g.supports
+    parsed = q.parse_qbag(q.serialize_qbag(g))
+    assert q.make_qbag(g.base_scores, parsed.attacks, parsed.supports).attacks is parsed.attacks
 
 
 def test_serialize_round_trip_random_graphs():

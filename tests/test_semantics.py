@@ -9,7 +9,15 @@ from qbagx.errors import CyclicGraphError, DomainError
 from qbagx.graph import reachable_from
 from qbagx.semantics import Influence, compile_graph, evaluate_matrix
 
-from helpers import FIG_CASES, fig_graph, random_dag
+from helpers import (
+    FIG_CASES,
+    assert_same_blocks,
+    fig_graph,
+    plan_blocks_reference,
+    plan_reference_cases,
+    random_dag,
+    random_tiny_query,
+)
 
 
 def test_aggregate_sum():
@@ -226,10 +234,14 @@ def test_batched_evaluation_matches_single_columns():
 
 def _p_max_two_terms(inf, w, s):
     """The p_max influence as the module docstring writes it, with both h
-    terms: the reference for the one-np.where form."""
-    hneg = np.maximum(0.0, -s / inf.k) ** inf.p
-    hpos = np.maximum(0.0, s / inf.k) ** inf.p
-    return w - w * (hneg / (1.0 + hneg)) + (1.0 - w) * (hpos / (1.0 + hpos))
+    terms: the reference for the one-np.where form. h takes its limit 1.0
+    where max(0, x)^p overflows to inf."""
+
+    def h(x):
+        power = np.maximum(0.0, x) ** inf.p
+        return np.where(np.isinf(power), 1.0, power / (1.0 + power))
+
+    return w - w * h(-s / inf.k) + (1.0 - w) * h(s / inf.k)
 
 
 def test_p_max_matches_two_term_formula_bit_for_bit():
@@ -240,7 +252,7 @@ def test_p_max_matches_two_term_formula_bit_for_bit():
         s[:6] = [0.0, -0.0, 0.0, -0.0, 1e-320, -1e-320]
         for k, p in ((1.0, 2), (1.0, 1), (0.5, 3), (2.0, 2)):
             inf = Influence("p_max", k=k, p=p)
-            with np.errstate(over="ignore", invalid="ignore"):  # h overflows to inf/inf at 1e300
+            with np.errstate(over="ignore", invalid="ignore"):  # the power overflows at 1e300
                 got = semantics._apply_influence(inf, w, s)
                 want = _p_max_two_terms(inf, w, s)
             assert np.array_equal(got, want, equal_nan=True), (scale, k, p)
@@ -331,3 +343,108 @@ def test_check_principle_validates_input():
     assert q.check_principle(g2, q.EULER_BASED, "stability") is None
     sigma = q.final_strengths(g2, q.EULER_BASED)
     assert sigma["x"] < 0.3  # the attack genuinely lowers x
+
+
+def test_compiled_blocks_match_the_per_edge_reference_builder():
+    for g in plan_reference_cases():
+        plan = compile_graph(g)
+        assert_same_blocks(plan.blocks, plan_blocks_reference(g))
+        assert plan.acyclic == (q.topological_levels(g) is not None)
+        assert plan.ids == g.arguments and plan.n == len(g.arguments)
+        assert plan.tau.tolist() == [g.base_scores[a] for a in g.arguments]
+
+
+def test_plans_of_one_topology_share_blocks_but_keep_their_own_tau():
+    g = fig_graph("g")
+    other = fig_graph("g_star")  # same edges, other base scores
+    p1, p2 = compile_graph(g), compile_graph(other)
+    assert p1.blocks is p2.blocks and p1.graph is g and p2.graph is other
+    assert p1.tau.tolist() == [1.0, 8.0, 1.0, 1.0, 2.0]
+    assert p2.tau.tolist() == [2.0, 8.0, 1.0, 1.0, 4.0]
+    assert q.final_strengths(g, q.NAIVE) == FIG_CASES["g"][1]
+    assert q.final_strengths(other, q.NAIVE) == FIG_CASES["g_star"][1]
+
+
+def test_cached_plan_arrays_are_read_only():
+    for g in (fig_graph(), q.make_qbag({"x": 0.1, "y": 0.2}, attacks=[("x", "y")], supports=[("y", "x")])):
+        arrays = [part for block in compile_graph(g).blocks for part in block if isinstance(part, np.ndarray)]
+        assert arrays
+        for part in arrays:
+            with pytest.raises(ValueError):
+                part[...] = 0
+
+
+def test_moving_an_edge_between_relations_changes_the_plan():
+    scores = {"a": 0.6, "b": 0.5, "c": 0.2}
+    attacking = q.make_qbag(scores, attacks=[("a", "b"), ("c", "b")])
+    supporting = q.make_qbag(scores, attacks=[("c", "b")], supports=[("a", "b")])
+    p1, p2 = compile_graph(attacking), compile_graph(supporting)
+    assert p1.blocks is not p2.blocks
+    assert p1.blocks[1][2].tolist() == [[-1.0, -1.0]] and p2.blocks[1][2].tolist() == [[1.0, -1.0]]
+    assert q.final_strengths(attacking, q.DFQUAD)["b"] < 0.5 < q.final_strengths(supporting, q.DFQUAD)["b"]
+
+
+def test_a_request_builds_its_topology_once():
+    eval_doc = q.serialize_qbag(random_dag(3, 8, 9)[0])
+    semantics._topology.cache_clear()
+    g = q.parse_qbag(eval_doc)
+    q.final_strengths(g, q.DFQUAD)
+    query = q.ExplanationQuery(g, q.DFQUAD, frozenset(g.arguments[:2]), q.ordering_from_tiers([[g.arguments[0]]]))
+    q.is_explanation(query, q.StrengthChange({g.arguments[0]: 0.5}), mode="weak")
+    assert semantics._topology.cache_info().misses == 1
+
+    for seed in range(5):
+        query = random_tiny_query(seed)
+        semantics._topology.cache_clear()
+        outcome = q.heuristic_search(query)
+        if outcome.found:
+            assert q.is_explanation(query, outcome.change, mode="weak")
+        g = query.graph
+        q.final_strengths(q.make_qbag(outcome.final_scores, g.attacks, g.supports), query.semantics)
+        assert semantics._topology.cache_info().misses == 1
+
+
+def test_linear_influence_rejects_k_with_an_overflowing_reciprocal():
+    # with k = 1e-310, w / k overflows and a zero aggregate gave inf * 0 = NaN
+    for make in (lambda: Influence("linear", k=1e-310),
+                 lambda: q.semantics_from_config({"aggregation": "sum", "influence": {"kind": "linear", "k": 1e-310}})):
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            make()
+
+
+def test_p_max_takes_its_limit_where_the_power_overflows():
+    # |s / k|^p overflows to inf for k = 1e-300; h(inf) is its limit 1.0, not inf / inf
+    spec = q.SemanticsSpec("sum", Influence("p_max", k=1e-300, p=2))
+    scores = {"a": 0.5, "b": 0.4}
+    with np.errstate(over="ignore"):
+        supported = q.final_strengths(q.make_qbag(scores, supports=[("a", "b")]), spec)
+        attacked = q.final_strengths(q.make_qbag(scores, attacks=[("a", "b")]), spec)
+    assert supported == {"a": 0.5, "b": 1.0}
+    assert attacked == {"a": 0.5, "b": 0.0}
+
+
+def test_linear_influence_matches_the_divided_formula_bit_for_bit():
+    # DF-QuAD's k = 1 skips the divisions by k; dividing by 1.0 is exact
+    rng = np.random.default_rng(1)
+    w = np.concatenate([[0.0, -0.0, 1.0, 1 / 3, 0.7, np.nan], rng.random(200)])[:, None]
+    s = np.concatenate([[0.0, -0.0, 1e-320, -1e-320, 0.5, -0.5], rng.normal(size=200)])[None, :]
+    for k in (1.0, 2.0, 0.3):
+        got = semantics._apply_influence(Influence("linear", k=k), w, s)
+        want = w - (w / k) * np.maximum(0.0, -s) + ((1.0 - w) / k) * np.maximum(0.0, s)
+        assert np.array_equal(got, want, equal_nan=True), k
+        assert np.array_equal(np.signbit(got), np.signbit(want)), k
+
+
+def test_product_aggregation_floors_only_factors_below_the_floor():
+    # log(max(f, floor)) is log(f) when no factor of the batch lies below the
+    # floor; a parent at strength 1 gives the factor 0 and takes the floor
+    g = q.make_qbag({"a": 0.5, "b": 0.5, "c": 0.5, "t": 0.5}, attacks=[("a", "t"), ("b", "t")], supports=[("c", "t")])
+    plan = compile_graph(g)
+    parents = np.array([[0.2, 1.0, 0.0, 0.999], [0.7, 0.3, 1.0, 0.0], [1.0, 0.1, 0.4, 0.25]])
+    for cols in ([3], [1], [0, 3], [0, 1, 2, 3]):
+        tau = np.full((4, len(cols)), 0.5)
+        tau[:3] = parents[:, cols]
+        sigma, _ = evaluate_matrix(plan, q.DFQUAD, tau)
+        logs = np.log(np.maximum(1.0 - tau[:3], semantics._LOG_FLOOR))
+        agg = np.exp(logs[0] + logs[1]) - np.exp(logs[2])
+        assert np.array_equal(sigma[3], semantics._apply_influence(q.DFQUAD.influence, 0.5, agg)), cols

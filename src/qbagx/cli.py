@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import QbagError
+from .errors import GraphFormatError, QbagError
 from .explanation import (
     ExplanationQuery,
     change_from_json,
@@ -145,11 +145,26 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if result.best is not None else EXIT_NOT_FOUND
 
 
+def _list_of(value, kind: type, size: int | None = None) -> bool:
+    """True iff value is a JSON list of `kind` values (a bool is no int),
+    with `size` entries when a size is given."""
+    return type(value) is list and size in (None, len(value)) and all(type(v) is kind for v in value)
+
+
 def _cmd_inverse(args) -> int:
     doc = json.loads(Path(args.problem).read_bytes())
-    problem = make_inverse_problem(
-        doc["arguments"], doc.get("attacks", []), doc.get("supports", []), doc["ordering"]["tiers"]
-    )
+    if type(doc) is not dict or type(doc.get("ordering")) is not dict:
+        raise GraphFormatError('problem document must be an object with "arguments" and "ordering"')
+    if not _list_of(doc.get("arguments"), str):
+        raise GraphFormatError('problem "arguments" must be a list of argument ids')
+    for key in ("attacks", "supports"):
+        edges = doc.get(key, [])
+        if not (_list_of(edges, list) and all(_list_of(e, str, 2) for e in edges)):
+            raise GraphFormatError(f'problem "{key}" must be a list of [from, to] pairs')
+    tiers = doc["ordering"].get("tiers")
+    if not (_list_of(tiers, list) and all(_list_of(t, str) for t in tiers)):
+        raise GraphFormatError('problem "ordering" must be {"tiers": [[id, ...], ...]}')
+    problem = make_inverse_problem(doc["arguments"], doc.get("attacks", []), doc.get("supports", []), tiers)
     spec = _load_semantics(args.semantics)
     cfg = _load_search_config(args.search_config) if args.search_config else None
     solution = solve_inverse(problem, spec, cfg)
@@ -175,16 +190,28 @@ def _cmd_counterfactual(args) -> int:
 
 def _cmd_experiment(args) -> int:
     doc = json.loads(Path(args.config).read_bytes())
+    if type(doc) is not dict:
+        raise ValueError("experiment config must be a JSON object")
+    structures, cells = doc.get("structures"), doc.get("cells")
+    semantics, n_graphs, seed = doc.get("semantics", ["dfquad"]), doc.get("n_graphs", 100), doc.get("seed", 0)
+    if not (_list_of(structures, list) and all(_list_of(s, int) for s in structures)):
+        raise ValueError('experiment "structures" must be a list of layer-size lists')
+    if not (_list_of(cells, list) and all(_list_of(c, str, 2) for c in cells)):
+        raise ValueError('experiment "cells" must be a list of [family, mutable mode] pairs')
+    if not _list_of(semantics, str):
+        raise ValueError('experiment "semantics" must be a list of semantics tokens')
+    if not _list_of([n_graphs, seed], int):
+        raise ValueError('experiment "n_graphs" and "seed" must be integers')
     try:
         search = SearchConfig(**doc.get("search", {}))
     except TypeError as exc:
         raise ValueError(f"bad search config: {exc}") from exc
     cfg = ExperimentConfig(
-        structures=tuple(structure(s) for s in doc["structures"]),
-        cells=tuple((c[0], c[1]) for c in doc["cells"]),
-        semantics=tuple(doc.get("semantics", ["dfquad"])),
-        n_graphs=int(doc.get("n_graphs", 100)),
-        seed=int(doc.get("seed", 0)),
+        structures=tuple(structure(s) for s in structures),
+        cells=tuple(map(tuple, cells)),
+        semantics=tuple(semantics),
+        n_graphs=n_graphs,
+        seed=seed,
         search=search,
         target=doc.get("target", "permuted"),
         bs_diff_per=doc.get("bs_diff_per", "mutable"),

@@ -4,6 +4,10 @@ A graph holds a set of arguments with real-valued base scores plus two
 disjoint directed edge relations (attacks and supports). Graphs are
 immutable after construction and every operation is pure; arguments are
 kept sorted by id so iteration order is deterministic.
+
+A graph builds its Topology (index, depths, evaluation blocks) on first use
+and keeps it. Graphs on the same edge-set objects and arguments share one
+through an index of live topologies keyed by the identity of those objects.
 """
 
 from __future__ import annotations
@@ -11,10 +15,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Collection
+import weakref
+from collections.abc import Collection, Set as AbstractSet
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -54,6 +61,19 @@ class QBAG:
     def edges(self) -> frozenset[Edge]:
         return self.attacks | self.supports
 
+    @cached_property
+    def topology(self) -> Topology:
+        """Built on first use; shared by graphs on the same edge-set objects and arguments."""
+        topology = _shared(self.arguments, self.attacks, self.supports)
+        if topology is None:
+            topology = Topology(self.arguments, self.attacks, self.supports)
+            _SHARED[id(self.attacks), id(self.supports)] = topology
+        return topology
+
+    def __getstate__(self):
+        # a copy or an unpickled graph finds or builds its topology again
+        return {k: v for k, v in self.__dict__.items() if k != "topology"}
+
 
 def make_qbag(
     base_scores: Mapping[str, float],
@@ -66,13 +86,19 @@ def make_qbag(
     with unknown endpoints, and any edge present in both relations. The
     checks run as bulk passes; only when one fails does a per-item loop name
     the first bad entry. A frozenset of (str, str) tuples is kept as it is,
-    so graphs derived from one another share their edge sets.
+    so graphs derived from one another share their edge sets; edge sets that
+    a live topology was built on, for the same ids, are not checked again.
     """
-    return _checked_qbag(base_scores, _edge_set(attacks), _edge_set(supports))
+    scores = _checked_scores(base_scores)
+    ids = tuple(scores)
+    if _shared(ids, attacks, supports) is None:
+        attacks, supports = _edge_set(attacks), _edge_set(supports)
+        check_edges(scores.keys(), attacks, supports)
+    return QBAG(ids, scores, attacks, supports)
 
 
-def _checked_qbag(base_scores: Mapping[str, float], att: frozenset[Edge], supp: frozenset[Edge]) -> QBAG:
-    """make_qbag on edge sets already made of (str, str) tuples."""
+def _checked_scores(base_scores: Mapping[str, float]) -> dict[str, float]:
+    """The scores as floats, sorted by id, once ids and values are checked."""
     ids = sorted(base_scores)
     values = list(map(base_scores.__getitem__, ids))
     if not (set(map(type, ids)) <= {str} and all(ids) and set(map(type, values)) <= {float, int}
@@ -84,17 +110,19 @@ def _checked_qbag(base_scores: Mapping[str, float], att: frozenset[Edge], supp: 
                 raise GraphFormatError(f"base score of {arg!r} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise GraphFormatError(f"base score of {arg!r} must be finite, got {value!r}")
-    scores = dict(zip(ids, map(float, values)))
+    return dict(zip(ids, map(float, values)))
 
+
+def check_edges(known: AbstractSet[str], att: frozenset[Edge], supp: frozenset[Edge]) -> None:
+    """Reject an edge with an endpoint outside `known`, then edges in both relations."""
     endpoints = set(chain.from_iterable(att))
     endpoints.update(chain.from_iterable(supp))
-    if not scores.keys() >= endpoints:
+    if not known >= endpoints:
         for a, b in sorted(att | supp):
-            if a not in scores or b not in scores:
+            if a not in known or b not in known:
                 raise GraphFormatError(f"edge ({a!r}, {b!r}) has an endpoint outside the argument set")
     if not att.isdisjoint(supp):
         raise GraphFormatError(f"edges in both attack and support relations: {sorted(att & supp)}")
-    return QBAG(tuple(scores), scores, att, supp)
 
 
 def _str_pairs(items: Collection, kind: type) -> bool:
@@ -178,7 +206,7 @@ def topological_levels(g: QBAG) -> list[list[str]] | None:
     """Group arguments by longest-path depth (parents always in earlier
     levels), or None if cyclic. Each level follows argument order, which is
     sorted by id for graphs from make_qbag and parse_qbag."""
-    depth = index_form(g.arguments, g.attacks, g.supports).depth
+    depth = g.topology.depth
     if depth is None:
         return None
     levels: list[list[str]] = [[] for _ in range(int(depth.max(initial=-1)) + 1)]
@@ -187,42 +215,110 @@ def topological_levels(g: QBAG) -> list[list[str]] | None:
     return levels
 
 
-class IndexForm(NamedTuple):
-    """A topology as arrays over argument positions (the order of the
-    arguments): edge sources, targets and signs (attack -1.0, support
-    +1.0), attacks first, and each argument's Kahn depth, or None if cyclic."""
+class Topology:
+    """A graph's structure over argument positions (the order of its
+    arguments): `index` maps ids to positions, `depth` holds each argument's
+    longest-path depth (None if cyclic), and `blocks` lists (rows, cols, w,
+    att, supp): rows evaluated together, the parent columns their
+    aggregation reads, and over (rows, cols) the signed weight (support +1,
+    attack -1) and the attack and support 0/1 matrices. An acyclic graph has
+    one block per depth, whose columns are only that level's parents; a
+    cyclic graph has one block over all rows and columns. Arrays are
+    read-only. It keeps the edge sets it was built on, so that no other
+    object takes their ids while it lives.
+    """
 
-    index: dict[str, int]
-    src: np.ndarray
-    dst: np.ndarray
-    sign: np.ndarray
-    depth: np.ndarray | None
-
-
-def index_form(arguments: Sequence[str], attacks: Collection[Edge], supports: Collection[Edge]) -> IndexForm:
-    """Map the edges to index arrays, then peel Kahn frontiers: every round
-    takes the arguments left without unprocessed parents, so an argument's
-    round is its longest-path depth. One bincount per round."""
-    index = {a: i for i, a in enumerate(arguments)}
-    n, n_att = len(index), len(attacks)
-    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(chain(attacks, supports))),
-                       dtype=np.intp, count=2 * (n_att + len(supports))).reshape(-1, 2)
-    src, dst = ends[:, 0], ends[:, 1]
-    sign = np.ones(len(ends))
-    sign[:n_att] = -1.0
-
-    indeg = np.bincount(dst, minlength=n)
-    depth = np.empty(n, dtype=np.intp)
-    frontier = indeg == 0
-    for d in count():
-        depth[frontier] = d
-        indeg[frontier] = -1  # peeled: never a frontier again
-        reached = dst[frontier[src]]
-        if not reached.size:
-            break
-        indeg -= np.bincount(reached, minlength=n)
+    def __init__(self, arguments: tuple[str, ...], attacks: frozenset[Edge], supports: frozenset[Edge]):
+        """Map the edges to index arrays, rejecting an edge with an unknown
+        endpoint or in both relations, then peel Kahn frontiers: each round
+        takes the arguments left without unprocessed parents, so an
+        argument's round is its longest-path depth. One bincount per round."""
+        self.ids, self.attacks, self.supports = tuple(arguments), attacks, supports
+        index = {a: i for i, a in enumerate(self.ids)}
+        n, n_att = len(self.ids), len(attacks)
+        try:
+            ends = np.fromiter(map(index.__getitem__, chain.from_iterable(chain(attacks, supports))),
+                               dtype=np.intp, count=2 * (n_att + len(supports))).reshape(-1, 2)
+        except KeyError:
+            ends = None
+        if ends is None or not attacks.isdisjoint(supports):
+            check_edges(index.keys(), attacks, supports)  # raises, naming the first bad edge
+        src, dst = ends[:, 0], ends[:, 1]
+        sign = np.ones(len(ends))
+        sign[:n_att] = -1.0
+        indeg = np.bincount(dst, minlength=n)
+        depth = np.empty(n, dtype=np.intp)
         frontier = indeg == 0
-    return IndexForm(index, src, dst, sign, None if (indeg >= 0).any() else depth)
+        for d in count():
+            depth[frontier] = d
+            indeg[frontier] = -1  # peeled: never a frontier again
+            reached = dst[frontier[src]]
+            if not reached.size:
+                break
+            indeg -= np.bincount(reached, minlength=n)
+            frontier = indeg == 0
+        self.index, self.n = MappingProxyType(index), n
+        self.depth = None if (indeg >= 0).any() else depth
+        self.blocks = _blocks(src, dst, sign, self.depth, n)
+
+
+def _blocks(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, depth: np.ndarray | None, n: int) -> tuple:
+    """Topology.blocks. A block's rows are its level's members in argument
+    order and its columns the distinct (level, source) pairs of the level's
+    edges; a cyclic graph is one level whose columns are all arguments.
+    Every block's weights are one view into a single flat array."""
+    level = np.zeros(n, dtype=np.intp) if depth is None else depth
+    edge_level = level[dst]
+    key = edge_level * n + src  # (level, source) of each edge
+    col_keys = np.arange(n) if depth is None else np.unique(key)
+    levels = int(level.max(initial=-1)) + 1
+    members = np.argsort(level, kind="stable")
+    row_count = np.bincount(level, minlength=levels)
+    row_start = np.cumsum(row_count) - row_count
+    row_of = np.empty(n, dtype=np.intp)
+    row_of[members] = np.arange(n) - row_start[level[members]]
+    col_level, cols = np.divmod(col_keys, n)
+    col_count = np.bincount(col_level, minlength=levels)
+    col_start = np.cumsum(col_count) - col_count
+    size = row_count * col_count
+    offset = np.cumsum(size) - size
+
+    col_of = np.searchsorted(col_keys, key) - col_start[edge_level]
+    w = np.zeros(int(size.sum()))
+    w[offset[edge_level] + row_of[dst] * col_count[edge_level] + col_of] = sign
+    flat = (members, cols, w, (w < 0.0) * 1.0, (w > 0.0) * 1.0)
+    for part in flat:
+        part.flags.writeable = False  # views made from here on are read-only too
+    member_ids, col_ids = members.tolist(), cols.tolist()
+
+    blocks = []
+    for r0, nr, c0, nc, o in zip(*(a.tolist() for a in (row_start, row_count, col_start, col_count, offset))):
+        weights = tuple(part[o:o + nr * nc].reshape(nr, nc) for part in flat[2:])
+        blocks.append((_indexer(members, member_ids, r0, nr), _indexer(cols, col_ids, c0, nc)) + weights)
+    return tuple(blocks)
+
+
+def _indexer(ascending: np.ndarray, listed: list[int], start: int, count: int) -> slice | np.ndarray:
+    """ascending[start:start + count], unique indices in ascending order
+    (`listed` is the same as a list), as a slice when they form one
+    contiguous run (indexing then makes a view, not a copy), else as an
+    index array."""
+    if count and listed[start + count - 1] - listed[start] == count - 1:
+        return slice(listed[start], listed[start + count - 1] + 1)
+    return ascending[start:start + count]
+
+
+# Live topologies by the ids of the (attacks, supports) objects they were
+# built on. Each entry keeps those objects alive, so an id found here still
+# names them, and goes once the last graph holding its topology is gone.
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared(arguments: tuple[str, ...], attacks, supports) -> Topology | None:
+    """The live topology built on these edge-set objects, if it was built
+    for the same argument tuple."""
+    topology = _SHARED.get((id(attacks), id(supports)))
+    return topology if topology is not None and topology.ids == arguments else None
 
 
 _ARG_KEYS = {"id", "base_score"}
@@ -282,11 +378,11 @@ def parse_qbag(data: bytes | str) -> QBAG:
             raise GraphFormatError(f"duplicate argument id: {arg!r}")
         scores[arg] = entry["base_score"]
 
-    return _checked_qbag(
-        scores,
-        _parse_edges(doc.get("attacks", []), "attacks"),
-        _parse_edges(doc.get("supports", []), "supports"),
-    )
+    scores = _checked_scores(scores)
+    attacks = _parse_edges(doc.get("attacks", []), "attacks")
+    supports = _parse_edges(doc.get("supports", []), "supports")
+    check_edges(scores.keys(), attacks, supports)
+    return QBAG(tuple(scores), scores, attacks, supports)
 
 
 def serialize_qbag(g: QBAG) -> bytes:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import GraphFormatError, UnknownArgumentError
 from .explanation import DesiredOrdering, ExplanationQuery, ordering_from_tiers
-from .graph import QBAG, Edge, make_qbag
+from .graph import QBAG, Edge, check_edges, make_qbag
 from .search import SearchConfig, SearchOutcome, heuristic_search
 from .semantics import SemanticsSpec, final_strengths
 
@@ -30,8 +30,7 @@ class InverseProblem:
     ordering: DesiredOrdering
 
     def __post_init__(self):
-        if self.attacks & self.supports:
-            raise GraphFormatError("attack and support relations must be disjoint")
+        check_edges(set(self.arguments), self.attacks, self.supports)
         if self.ordering.topic_set != frozenset(self.arguments):
             raise GraphFormatError("the desired ordering must cover exactly the argument set")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -49,12 +50,21 @@ class SearchConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
+        for name in ("max_iterations", "restarts", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.record_trajectory, bool):
+            raise ValueError(f"record_trajectory must be true or false, got {self.record_trajectory!r}")
         for name in ("perturbation", "alpha", "alpha_decay", "beta1", "beta2", "adam_eps",
                      "cost_tolerance", "restart_jitter"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.restarts < 0:
+            raise ValueError("restarts must be >= 0")
         if self.perturbation <= 0:
             raise ValueError("perturbation must be positive")
         if self.alpha <= 0:

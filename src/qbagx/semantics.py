@@ -17,29 +17,26 @@ Built-ins: dfquad = (product, linear(1)), eb = (sum, euler_based),
 qe = (sum, 2-max(1)), all over [0, 1]; naive = (sum, additive) over the
 reals, defined for acyclic graphs only.
 
-A topology compiles once into a GraphPlan: its blocks are built in numpy
-from the graph's index form and memoized, so graphs that share a topology
-(a search, its verification, the strengths of its result) share them, while
-each plan's tau holds its own graph's base scores. Each column of a
-base-score matrix is one assignment of base scores to a plan. Acyclic
-graphs are evaluated by a single forward pass over topological levels
-(exact); cyclic graphs by synchronous fixed-point iteration from the base
-scores, with non-convergent arguments reported as undefined. Both run the
-same pass over plan blocks.
+A graph compiles into a GraphPlan: the blocks of its topology, which the
+graph builds once and shares with the graphs built on the same edge sets
+(a search, its verification, the strengths of its result), plus a tau of
+its own base scores. Each column of a base-score matrix is one assignment
+of base scores to a plan. Acyclic graphs are evaluated by a single forward
+pass over topological levels (exact); cyclic graphs by synchronous
+fixed-point iteration from the base scores, with non-convergent arguments
+reported as undefined. Both run the same pass over plan blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CyclicGraphError, DomainError
-from .graph import QBAG, index_form, parents_map, reachable_from, restrict, topological_levels
+from .graph import QBAG, parents_map, reachable_from, restrict, topological_levels
 
 # Absolute tolerance for float comparisons in principle checks.
 CHECK_TOL = 1e-12
@@ -195,89 +192,15 @@ def influence_value(inf: Influence, w: float, s: float) -> float:
 
 
 class GraphPlan:
-    """Index-based evaluation plan: one graph's base scores on its topology.
-
-    `blocks` lists (rows, cols, w, att, supp): rows evaluated together, the
-    parent columns their aggregation reads, and over (rows, cols) the signed
-    weight (support +1, attack -1) and the attack and support 0/1 matrices.
-    An acyclic graph has one block per topological level with only that
-    level's parents as columns, so no n x n matrix; a cyclic graph has one
-    block over all rows and columns. The topology part (ids, index, n,
-    acyclic, blocks) is built once and memoized, so graphs with one topology
-    share it and its arrays are read-only; `graph` and `tau`, the graph's
-    base scores, belong to each plan.
-    """
+    """Index-based evaluation plan: one graph's base scores (`tau`) on its
+    own graph.Topology, from which ids, index, n, acyclic and blocks come."""
 
     def __init__(self, g: QBAG):
+        topology = g.topology
         self.graph = g
-        self.ids, self.index, self.n, self.acyclic, self.blocks = _topology(
-            tuple(g.arguments), frozenset(g.attacks), frozenset(g.supports)
-        )
+        self.ids, self.index, self.n, self.blocks = topology.ids, topology.index, topology.n, topology.blocks
+        self.acyclic = topology.depth is not None
         self.tau = np.fromiter(map(g.base_scores.__getitem__, self.ids), dtype=float, count=self.n)
-
-
-class _Topology(NamedTuple):
-    ids: tuple[str, ...]
-    index: Mapping[str, int]
-    n: int
-    acyclic: bool
-    blocks: tuple[tuple, ...]
-
-
-# Topologies the memo keeps. A request compiles one topology several times
-# in a row (a search, its verification, the strengths of its result), and
-# every entry keeps its graph's edge sets alive, so the memo stays small.
-_TOPOLOGY_MEMO = 2
-
-
-@lru_cache(maxsize=_TOPOLOGY_MEMO)
-def _topology(arguments: tuple[str, ...], attacks: frozenset, supports: frozenset) -> _Topology:
-    """The blocks of a topology, built from its index form with no per-edge
-    loop. A block's rows are its level's members in argument order and its
-    columns the distinct (level, source) pairs of the level's edges; a
-    cyclic graph is one level whose columns are all arguments. Every
-    block's weights are one view into a single flat array."""
-    index, src, dst, sign, depth = index_form(arguments, attacks, supports)
-    n = len(arguments)
-    level = np.zeros(n, dtype=np.intp) if depth is None else depth
-    edge_level = level[dst]
-    key = edge_level * n + src  # (level, source) of each edge
-    col_keys = np.arange(n) if depth is None else np.unique(key)
-    levels = int(level.max(initial=-1)) + 1
-    members = np.argsort(level, kind="stable")
-    row_count = np.bincount(level, minlength=levels)
-    row_start = np.cumsum(row_count) - row_count
-    row_of = np.empty(n, dtype=np.intp)
-    row_of[members] = np.arange(n) - row_start[level[members]]
-    col_level, cols = np.divmod(col_keys, n)
-    col_count = np.bincount(col_level, minlength=levels)
-    col_start = np.cumsum(col_count) - col_count
-    size = row_count * col_count
-    offset = np.cumsum(size) - size
-
-    col_of = np.searchsorted(col_keys, key) - col_start[edge_level]
-    w = np.zeros(int(size.sum()))
-    w[offset[edge_level] + row_of[dst] * col_count[edge_level] + col_of] = sign
-    flat = (members, cols, w, (w < 0.0) * 1.0, (w > 0.0) * 1.0)
-    for part in flat:
-        part.flags.writeable = False  # views made from here on are read-only too
-    member_ids, col_ids = members.tolist(), cols.tolist()
-
-    blocks = []
-    for r0, nr, c0, nc, o in zip(*(a.tolist() for a in (row_start, row_count, col_start, col_count, offset))):
-        weights = tuple(part[o:o + nr * nc].reshape(nr, nc) for part in flat[2:])
-        blocks.append((_indexer(members, member_ids, r0, nr), _indexer(cols, col_ids, c0, nc)) + weights)
-    return _Topology(arguments, MappingProxyType(index), n, depth is not None, tuple(blocks))
-
-
-def _indexer(ascending: np.ndarray, listed: list[int], start: int, count: int) -> slice | np.ndarray:
-    """ascending[start:start + count], unique indices in ascending order
-    (`listed` is the same as a list), as a slice when they form one
-    contiguous run (indexing then makes a view, not a copy), else as an
-    index array."""
-    if count and listed[start + count - 1] - listed[start] == count - 1:
-        return slice(listed[start], listed[start + count - 1] + 1)
-    return ascending[start:start + count]
 
 
 def compile_graph(g: QBAG) -> GraphPlan:

@@ -220,6 +220,64 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "eval", "--graph", str(bad), "--semantics", "unknown")[0] == 2
 
 
+@pytest.mark.parametrize("config", [
+    '{"max_iterations": 2.5}', '{"restarts": "2"}', '{"rng_seed": 1.5, "restarts": 1}',
+    '{"record_trajectory": 1}', '{"max_iterations": true}',
+])
+def test_explain_rejects_search_config_fields_of_the_wrong_type(fig_file, capsys, config):
+    code, _, err = run_cli(
+        capsys, "explain", "--graph", fig_file, "--semantics", "naive",
+        "--ordering", "c>b", "--mutable", "a,e", "--search-config", config,
+    )
+    assert code == 2 and err.startswith("error:")
+
+
+INVERSE_PROBLEM = {"arguments": ["a", "b"], "attacks": [["a", "b"]], "ordering": {"tiers": [["a"], ["b"]]}}
+
+
+@pytest.mark.parametrize("change", [
+    {"ordering": [["a"], ["b"]]},
+    {"ordering": {"tiers": "ab"}},
+    {"ordering": {"tiers": [["a"], [1]]}},
+    {"arguments": "ab"},
+    {"arguments": [["a"], ["b"]]},
+    {"attacks": [["a"]]},
+    {"supports": 5},
+    {"attacks": [["a", "zzz"]]},
+])
+def test_inverse_rejects_malformed_problems(tmp_path, capsys, change):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**INVERSE_PROBLEM, **change}))
+    code, _, err = run_cli(capsys, "inverse", "--problem", str(path), "--semantics", "naive")
+    assert code == 2 and err.startswith("error:")
+    path.write_text(json.dumps([INVERSE_PROBLEM]))
+    assert run_cli(capsys, "inverse", "--problem", str(path), "--semantics", "naive")[0] == 2
+
+
+EXPERIMENT = {"structures": [[3, 4, 2]], "cells": [["random", "all"]], "n_graphs": 1, "search": {"max_iterations": 2}}
+
+
+@pytest.mark.parametrize("change", [
+    {"cells": [["random"]]},
+    {"cells": "random"},
+    {"structures": 5},
+    {"structures": [[3, "x"]]},
+    {"structures": [[3, True]]},
+    {"semantics": "dfquad"},
+    {"n_graphs": [1]},
+    {"seed": "1"},
+    {"search": 5},
+    {"search": {"restarts": 1.5}},
+])
+def test_experiment_rejects_malformed_configs(tmp_path, capsys, change):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**EXPERIMENT, **change}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", "1")
+    assert code == 2 and err.startswith("error:")
+    path.write_text(json.dumps([EXPERIMENT]))
+    assert run_cli(capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", "1")[0] == 2
+
+
 def test_jobs_env_var_fallback(monkeypatch):
     from qbagx.cli import _default_jobs
 

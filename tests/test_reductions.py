@@ -21,6 +21,9 @@ def test_inverse_problem_validation():
         q.make_inverse_problem(["a", "b"], [("a", "b")], [("a", "b")], [["a"], ["b"]])
     with pytest.raises(GraphFormatError):
         q.make_inverse_problem(["a", "b"], [], [], [["a"]])  # ordering must cover all
+    # an unknown endpoint used to fail only later, inside solve_inverse
+    with pytest.raises(GraphFormatError, match=r"edge \('a', 'zzz'\) has an endpoint outside"):
+        q.make_inverse_problem(["a"], [("a", "zzz")], [], [["a"]])
 
 
 def test_assign_uniform():

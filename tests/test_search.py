@@ -179,9 +179,20 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         q.SearchConfig(satisfaction="sloppy")
     for field in ("perturbation", "alpha", "beta1", "adam_eps", "cost_tolerance", "restart_jitter"):
-        for bad in (float("inf"), float("nan")):
+        for bad in (float("inf"), float("nan"), "0.1", None, True):
             with pytest.raises(ValueError):
                 q.SearchConfig(**{field: bad})
+    # integer fields take no float, string or bool; a float seed used to fail only once a restart ran
+    for field in ("max_iterations", "restarts", "rng_seed"):
+        for bad in (2.5, "2", True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                q.SearchConfig(**{field: bad})
+    with pytest.raises(ValueError, match="restarts must be >= 0"):
+        q.SearchConfig(restarts=-1)
+    for bad in (1, "yes", None):
+        with pytest.raises(ValueError, match="record_trajectory"):
+            q.SearchConfig(record_trajectory=bad)
+    assert q.SearchConfig(max_iterations=np.int64(5), rng_seed=np.int64(3)).max_iterations == 5
 
 
 def test_search_empty_mutable_set():

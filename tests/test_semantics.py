@@ -1,11 +1,15 @@
 import dataclasses
+import gc
+import pickle
+import weakref
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
 import qbagx as q
-from qbagx import semantics
-from qbagx.errors import CyclicGraphError, DomainError
+from qbagx import graph, semantics
+from qbagx.errors import CyclicGraphError, DomainError, GraphFormatError
 from qbagx.graph import reachable_from
 from qbagx.semantics import Influence, compile_graph, evaluate_matrix
 
@@ -356,7 +360,7 @@ def test_compiled_blocks_match_the_per_edge_reference_builder():
 
 def test_plans_of_one_topology_share_blocks_but_keep_their_own_tau():
     g = fig_graph("g")
-    other = fig_graph("g_star")  # same edges, other base scores
+    other = q.make_qbag(FIG_CASES["g_star"][0], g.attacks, g.supports)  # same edge sets, other base scores
     p1, p2 = compile_graph(g), compile_graph(other)
     assert p1.blocks is p2.blocks and p1.graph is g and p2.graph is other
     assert p1.tau.tolist() == [1.0, 8.0, 1.0, 1.0, 2.0]
@@ -384,24 +388,96 @@ def test_moving_an_edge_between_relations_changes_the_plan():
     assert q.final_strengths(attacking, q.DFQUAD)["b"] < 0.5 < q.final_strengths(supporting, q.DFQUAD)["b"]
 
 
-def test_a_request_builds_its_topology_once():
-    eval_doc = q.serialize_qbag(random_dag(3, 8, 9)[0])
-    semantics._topology.cache_clear()
-    g = q.parse_qbag(eval_doc)
+@pytest.fixture
+def builds(monkeypatch):
+    """The argument tuples of the topologies built while the test runs."""
+    built = []
+
+    class Counted(graph.Topology):
+        def __init__(self, arguments, attacks, supports):
+            built.append(arguments)
+            super().__init__(arguments, attacks, supports)
+
+    monkeypatch.setattr(graph, "Topology", Counted)
+    return built
+
+
+def test_a_request_builds_its_topology_once(builds):
+    g = q.parse_qbag(q.serialize_qbag(random_dag(3, 8, 9)[0]))
     q.final_strengths(g, q.DFQUAD)
     query = q.ExplanationQuery(g, q.DFQUAD, frozenset(g.arguments[:2]), q.ordering_from_tiers([[g.arguments[0]]]))
     q.is_explanation(query, q.StrengthChange({g.arguments[0]: 0.5}), mode="weak")
-    assert semantics._topology.cache_info().misses == 1
+    assert len(builds) == 1
 
+
+@pytest.mark.parametrize("compiled_before", [False, True])
+def test_a_search_its_verification_and_its_strengths_share_one_topology(builds, compiled_before):
     for seed in range(5):
         query = random_tiny_query(seed)
-        semantics._topology.cache_clear()
+        g = query.graph
+        if compiled_before:
+            compile_graph(g)
+        builds.clear()
         outcome = q.heuristic_search(query)
         if outcome.found:
             assert q.is_explanation(query, outcome.change, mode="weak")
-        g = query.graph
         q.final_strengths(q.make_qbag(outcome.final_scores, g.attacks, g.supports), query.semantics)
-        assert semantics._topology.cache_info().misses == 1
+        assert len(builds) == (0 if compiled_before else 1)
+
+
+def test_derived_graphs_share_the_topology_by_identity():
+    g = fig_graph()
+    changed = q.apply_change(g, q.StrengthChange({"a": 3.0}))
+    replaced = dataclasses.replace(g, base_scores={**g.base_scores, "e": 5.0})
+    assert changed.topology is g.topology and replaced.topology is g.topology
+    assert q.make_qbag(replaced.base_scores, g.attacks, g.supports).topology is g.topology
+    # the topology is left out of equality and repr
+    assert g == fig_graph() and repr(g) == repr(fig_graph())
+
+
+def test_the_same_edge_sets_under_other_arguments_are_checked_in_full(builds):
+    g = q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3}, attacks=[("a", "b")], supports=[("b", "c")])
+    g.topology
+    with pytest.raises(GraphFormatError, match=r"edge \('b', 'c'\) has an endpoint outside"):
+        q.make_qbag({"a": 0.1, "b": 0.2}, g.attacks, g.supports)
+    wider = q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}, g.attacks, g.supports)
+    assert wider.topology is not g.topology and wider.topology.n == 4
+    assert builds == [("a", "b", "c"), ("a", "b", "c", "d")]
+
+
+def test_building_a_topology_rejects_edges_a_direct_construction_let_through():
+    both = frozenset({("x", "y")})
+    g = q.QBAG(("x", "y"), {"x": 0.1, "y": 0.2}, both, both)
+    with pytest.raises(GraphFormatError, match="both attack and support"):
+        compile_graph(g)
+    with pytest.raises(GraphFormatError, match="both attack and support"):
+        q.make_qbag(g.base_scores, g.attacks, g.supports)
+    stray = q.QBAG(("x",), {"x": 0.1}, frozenset({("x", "z")}), frozenset())
+    with pytest.raises(GraphFormatError, match="endpoint outside"):
+        q.final_strengths(stray, q.DFQUAD)
+    with pytest.raises(GraphFormatError, match="endpoint outside"):
+        q.make_qbag(stray.base_scores, stray.attacks, stray.supports)
+
+
+def test_a_topology_goes_with_the_last_graph_holding_it():
+    g = q.make_qbag({"a": 0.1, "b": 0.2}, attacks=[("a", "b")])
+    derived = q.apply_change(g, q.StrengthChange({"a": 0.5}))
+    ref = weakref.ref(g.topology)
+    assert derived.topology is ref()
+    del g
+    gc.collect()
+    assert ref() is not None  # derived still holds it
+    del derived
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_compiled_graph_pickles_and_copies_without_its_topology():
+    g = fig_graph()
+    g.topology
+    for copy in (pickle.loads(pickle.dumps(g)), deepcopy(g)):
+        assert copy == g and "topology" not in vars(copy)
+        assert q.final_strengths(copy, q.NAIVE) == FIG_CASES["g"][1]
 
 
 def test_linear_influence_rejects_k_with_an_overflowing_reciprocal():
@@ -433,6 +509,30 @@ def test_linear_influence_matches_the_divided_formula_bit_for_bit():
         want = w - (w / k) * np.maximum(0.0, -s) + ((1.0 - w) / k) * np.maximum(0.0, s)
         assert np.array_equal(got, want, equal_nan=True), k
         assert np.array_equal(np.signbit(got), np.signbit(want)), k
+
+
+def test_product_aggregation_with_negative_factors_matches_the_scalar_reference():
+    # linear(0.5) pushes a support chain above 1, so the next factor 1 - s is
+    # negative and the level pass takes its exact masked products
+    spec = q.semantics_from_config({"aggregation": "product", "influence": {"kind": "linear", "k": 0.5}})
+    g = q.make_qbag({"a": 1.0, "b": 0.5, "c": 0.5}, supports=[("a", "b"), ("b", "c")])
+    sigma = q.final_strengths(g, spec)
+    reference = {"a": 1.0}
+    for parent, x in (("a", "b"), ("b", "c")):
+        agg = q.aggregate("product", [], [reference[parent]])
+        reference[x] = q.influence_value(spec.influence, g.base_scores[x], agg)
+    assert reference == pytest.approx({"a": 1.0, "b": 1.5, "c": 2.0}, abs=semantics.CHECK_TOL)
+    assert sigma == pytest.approx(reference, abs=semantics.CHECK_TOL)
+
+    # one column out of the domain turns the whole batch to masked products;
+    # every column still agrees with its own width-1 evaluation
+    plan = compile_graph(g)
+    tau = np.array([[1.0, 0.2, 0.1], [0.5, 0.1, 0.3], [0.5, 0.1, 0.2]])
+    wide, _ = evaluate_matrix(plan, spec, tau)
+    assert wide[2, 0] == pytest.approx(2.0, abs=semantics.CHECK_TOL) and wide[:, 1:].max() < 1.0
+    for j in range(3):
+        narrow, _ = evaluate_matrix(plan, spec, tau[:, [j]])
+        assert np.abs(wide[:, [j]] - narrow).max() <= 1e-12, j
 
 
 def test_product_aggregation_floors_only_factors_below_the_floor():

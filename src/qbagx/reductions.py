@@ -3,11 +3,22 @@ reduction to explanation queries.
 
 The inverse problem asks for base scores (the graph starts with none)
 realizing a desired ordering of all arguments; we assign a uniform score,
-make everything mutable, and search. The strong counterfactual problem
+make everything mutable, and solve. The strong counterfactual problem
 asks for base scores driving one argument's final strength to an exact
 target; we add a parentless reference argument pinned to the target (its
 strength never moves, by stability) and demand a same-tier ordering with
 the topic, so the cost becomes |sigma(topic) - target|.
+
+Both reduced queries are solved Jacobian first: the finite-difference batch
+that a search evaluates per iteration holds the derivative of every
+strength against every mutable score, and damped least-squares steps on it
+(a projected Newton step on sigma(topic) - target for a counterfactual)
+reach the target in a few batches with a small change. When those steps
+stall, the query goes to heuristic_search's Adam loop from the start, with
+the same config and its restarts, on the same compiled plan; the outcome's
+iterations_used counts the batches of both phases. The explanation search
+itself (heuristic_search) is the paper's Adam heuristic and does not take
+Jacobian steps.
 """
 
 from __future__ import annotations
@@ -15,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .errors import GraphFormatError, UnknownArgumentError
+import numpy as np
+
+from .errors import GraphFormatError, UndefinedStrengthError, UnknownArgumentError
 from .explanation import DesiredOrdering, ExplanationQuery, ordering_from_tiers
 from .graph import QBAG, Edge, check_edges, make_qbag
-from .search import SearchConfig, SearchOutcome, heuristic_search
+from .search import SearchConfig, SearchOutcome, _adam_search, _Workspace
 from .semantics import SemanticsSpec, final_strengths
 
 
@@ -72,8 +85,9 @@ def assign_uniform(problem: InverseProblem, s: float) -> QBAG:
     return make_qbag({a: s for a in problem.arguments}, problem.attacks, problem.supports)
 
 
-# Inverse solving needs restarts: the uniform start ties every strength, a
-# flat spot the plain gradient step cannot leave for strict orderings.
+# The fallback search of solve_inverse. It needs restarts: the uniform start
+# ties every strength, a flat spot the plain gradient step cannot leave for
+# strict orderings.
 INVERSE_SEARCH_DEFAULTS = SearchConfig(
     max_iterations=300, alpha=0.05, restarts=8, restart_jitter=0.5, satisfaction="exact"
 )
@@ -87,8 +101,8 @@ def solve_inverse(
 ) -> dict[str, float] | None:
     """Full base-score assignment realizing the ordering, or None.
 
-    Runs the heuristic search from the uniform-s graph with every argument
-    mutable; success requires the exact ordering, not just the weak one.
+    Solves the query with every argument mutable from the uniform-s graph
+    (see _solve); success requires the exact ordering, not just the weak one.
     """
     if cfg is None:
         cfg = INVERSE_SEARCH_DEFAULTS
@@ -96,7 +110,7 @@ def solve_inverse(
         cfg = replace(cfg, satisfaction="exact")
     start = assign_uniform(problem, s)
     query = ExplanationQuery(start, spec, frozenset(problem.arguments), problem.ordering)
-    outcome = heuristic_search(query, cfg)
+    outcome = _solve(query, cfg)
     if not outcome.found:
         return None
     scores = dict(start.base_scores)
@@ -125,8 +139,9 @@ def reduce_counterfactual(problem: CounterfactualProblem, dummy_id: str | None =
     return ExplanationQuery(augmented, problem.semantics, frozenset(g.arguments), ordering)
 
 
-# The annealed step lets Adam settle below the equality tolerance instead of
-# oscillating at the scale of a constant step size.
+# The fallback search of solve_counterfactual. The annealed step lets Adam
+# settle below the equality tolerance instead of oscillating at the scale of
+# a constant step size.
 COUNTERFACTUAL_SEARCH_DEFAULTS = SearchConfig(
     max_iterations=600, alpha=0.05, alpha_decay=0.99, cost_tolerance=1e-6,
     restarts=4, restart_jitter=0.5,
@@ -142,13 +157,90 @@ def solve_counterfactual(
 
     Exact equality is unreachable in floating point, so success is declared
     at cost <= cfg.cost_tolerance (default 1e-6) and the residual is
-    reported via the outcome's final_cost.
+    reported via the outcome's final_cost. The reduced query is solved by
+    _solve, so outcome.iterations_used counts the batch evaluations of the
+    Jacobian phase plus, when it stalls, those of the fallback search: with
+    SearchConfig(max_iterations=1, restarts=0) an unsolved problem reports 2.
     """
     if cfg is None:
         cfg = COUNTERFACTUAL_SEARCH_DEFAULTS
     query = reduce_counterfactual(problem, dummy_id)
-    outcome = heuristic_search(query, cfg)
+    outcome = _solve(query, cfg)
     if not outcome.found:
         return None, outcome
     scores = {a: outcome.final_scores[a] for a in problem.graph.arguments}
     return scores, outcome
+
+
+# A Jacobian step is halved at most this many times before the phase stalls.
+_HALVINGS = 4
+# Each violated cross-tier pair is asked for sigma(weak) <= sigma(strong) -
+# _MARGIN, so that the exact check, which needs strict order, can pass.
+_MARGIN = 1e-3
+
+
+def _solve(query: ExplanationQuery, cfg: SearchConfig) -> SearchOutcome:
+    """Damped Jacobian steps on the search's workspace, then, if they stall,
+    heuristic_search from the start on the same plan.
+
+    Each iteration evaluates one finite-difference batch, whose strengths
+    hold the Jacobian J of every strength against every mutable score. The
+    residuals are sigma(a) - sigma(b) for each same-tier pair and
+    sigma(weak) - sigma(strong) + _MARGIN for each cross-tier pair above
+    -_MARGIN; the step is the least-squares solution of
+    (J[a] - J[b]) step = -residual, with the scores at a bound that it would
+    push outward held fixed. For the counterfactual's single pair this is the projected
+    Newton step -r g / |g|^2 on r = sigma(topic) - target. A trial point is
+    kept when the residuals' absolute sum falls; otherwise the step is
+    halved, up to _HALVINGS times, after which the phase stalls. A point is
+    returned only when it passes the search's width-1 acceptance check.
+    Both phases run at most cfg.max_iterations batches per run (the fallback
+    once per restart), and iterations_used counts the batches of both.
+    """
+    ws = _Workspace.for_query(query, cfg.perturbation)
+    trajectory = [] if cfg.record_trajectory else None
+    clamp, lower, upper = ws.spec.domain.clamp, ws.spec.domain.lower, ws.spec.domain.upper
+    m_idx, rule = ws.m_idx, ws.rule
+    a = np.concatenate([rule.weak, rule.tie_a])
+    b = np.concatenate([rule.strong, rule.tie_b])
+    ties = np.arange(a.size) >= rule.weak.size
+    margin = np.where(ties, 0.0, _MARGIN)
+    theta = trial = ws.plan.tau.copy()
+    merit, t, used = float("inf"), 1.0, 0
+    while used < cfg.max_iterations and m_idx.size:
+        used += 1
+        try:
+            sigma = ws.evaluate(trial)
+        except UndefinedStrengthError:
+            break  # leave a point that does not converge to the fallback
+        cost = float(rule.costs(sigma[:, :1])[0])
+        if trajectory is not None:
+            trajectory.append(cost)
+        if cost <= cfg.cost_tolerance:
+            cost, ok = ws.check(trial, cfg)
+            if ok:
+                return ws.outcome(True, trial, used, cost, trajectory)
+        diff = sigma[a] - sigma[b]
+        residual = diff[:, 0] + margin
+        rows = (residual > 0.0) | ties
+        residual = residual[rows]
+        trial_merit = float(np.abs(residual).sum())
+        if trial_merit < merit:
+            theta, merit, t = trial, trial_merit, 1.0
+            jac = ws.jacobian(diff[rows])
+            step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+            at = theta[m_idx]
+            outward = ((at <= lower) & (step < 0.0)) | ((at >= upper) & (step > 0.0))
+            if outward.any():
+                jac[:, outward] = 0.0
+                step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+            if not step.any():
+                break
+        else:
+            t *= 0.5
+            if t < 0.5**_HALVINGS:
+                break
+        trial = theta.copy()
+        trial[m_idx] = clamp(theta[m_idx] + t * step)
+    fallback = _adam_search(ws, cfg, trajectory)
+    return replace(fallback, iterations_used=used + fallback.iterations_used)

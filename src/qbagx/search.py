@@ -147,23 +147,69 @@ class _Workspace:
         self.cols = np.arange(1, len(m_idx) + 1)
         self.upper = spec.domain.upper  # inf on an unbounded domain: every step is forward
 
-    def costs(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Cost at theta plus finite-difference gradients for every mutable
-        index: a forward difference, or a backward one where a forward step
-        would leave the domain."""
+    @classmethod
+    def for_query(cls, query: ExplanationQuery, eps: float) -> "_Workspace":
+        """Compile the query's graph (once) and check its base scores."""
+        spec = query.semantics
+        plan = compile_graph(query.graph)
+        check_scores_in_domain(plan, spec, plan.tau[:, None])
+        rule = OrderingRule(plan.index, query.ordering)
+        m_idx = np.array([plan.index[a] for a in sorted(query.mutable)], dtype=int)
+        return cls(plan, spec, rule, m_idx, eps)
+
+    def evaluate(self, theta: np.ndarray) -> np.ndarray:
+        """Strengths of the batch at theta. Each mutable score steps forward,
+        or backward where a forward step would leave the domain; the step
+        signs are kept in self.dirs."""
         batch = self.batch
         batch[...] = theta[:, None]
         base = theta[self.m_idx]
-        dirs = np.where(base + self.eps > self.upper, -1.0, 1.0)
-        batch[self.m_idx, self.cols] = base + dirs * self.eps
+        self.dirs = np.where(base + self.eps > self.upper, -1.0, 1.0)
+        batch[self.m_idx, self.cols] = base + self.dirs * self.eps
         if self.plan.acyclic:
-            sigma = level_pass(self.plan, self.spec, batch, self.sigma, self.sigma)
-        else:
-            sigma, defined = evaluate_matrix(self.plan, self.spec, batch)
-            if not defined.all():
-                raise UndefinedStrengthError("strength evaluation did not converge during the search")
-        costs = self.rule.costs(sigma)
-        return costs[0], dirs * (costs[1:] - costs[0]) / self.eps
+            return level_pass(self.plan, self.spec, batch, self.sigma, self.sigma)
+        sigma, defined = evaluate_matrix(self.plan, self.spec, batch)
+        if not defined.all():
+            raise UndefinedStrengthError("strength evaluation did not converge during the search")
+        return sigma
+
+    def costs(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Cost at theta plus finite-difference gradients for every mutable
+        index."""
+        costs = self.rule.costs(self.evaluate(theta))
+        return costs[0], self.jacobian(costs[None])[0]
+
+    def jacobian(self, values: np.ndarray) -> np.ndarray:
+        """Finite-difference Jacobian against the mutable scores of
+        quantities given by their values on the last evaluated batch (one
+        row per quantity, such as strengths or their differences)."""
+        return self.dirs * (values[:, 1:] - values[:, :1]) / self.eps
+
+    def check(self, theta: np.ndarray, cfg: SearchConfig) -> tuple[float, bool]:
+        """Cost and acceptance of theta from a fresh width-1 evaluation, so
+        the verdict does not depend on the finite-difference batch width."""
+        sigma, defined = evaluate_matrix(self.plan, self.spec, theta[:, None])
+        if not defined.all():
+            raise UndefinedStrengthError("strength evaluation did not converge during the search")
+        cost = float(self.rule.costs(sigma)[0])
+        if cost > cfg.cost_tolerance:
+            return cost, False
+        return cost, cfg.satisfaction == "weak" or bool(self.rule.holds(sigma, "exact")[0])
+
+    def outcome(self, found: bool, theta: np.ndarray, iterations: int, cost: float,
+                trajectory: list[float] | None) -> SearchOutcome:
+        plan = self.plan
+        change = StrengthChange({
+            plan.ids[i]: float(theta[i]) for i in self.m_idx if theta[i] != plan.tau[i]
+        }) if found else None
+        return SearchOutcome(
+            "found" if found else "not_found",
+            change,
+            iterations,
+            cost,
+            {a: float(theta[plan.index[a]]) for a in plan.ids},
+            trajectory,
+        )
 
 
 def finite_diff_gradient(
@@ -216,45 +262,18 @@ def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -
     scores with uniform jitter around the originals.
     """
     cfg = cfg or SearchConfig()
-    spec = query.semantics
-    plan = compile_graph(query.graph)
-    check_scores_in_domain(plan, spec, plan.tau[:, None])
-    rule = OrderingRule(plan.index, query.ordering)
-    m_ids = sorted(query.mutable)
-    m_idx = np.array([plan.index[a] for a in m_ids], dtype=int)
-    trajectory: list[float] | None = [] if cfg.record_trajectory else None
+    workspace = _Workspace.for_query(query, cfg.perturbation)
+    return _adam_search(workspace, cfg, [] if cfg.record_trajectory else None)
 
-    def check(theta: np.ndarray) -> tuple[float, bool]:
-        """Cost and acceptance of theta from a fresh width-1 evaluation, so
-        the verdict does not depend on the finite-difference batch width."""
-        sigma, defined = evaluate_matrix(plan, spec, theta[:, None])
-        if not defined.all():
-            raise UndefinedStrengthError("strength evaluation did not converge during the search")
-        cost = float(rule.costs(sigma)[0])
-        if cost > cfg.cost_tolerance:
-            return cost, False
-        return cost, cfg.satisfaction == "weak" or bool(rule.holds(sigma, "exact")[0])
 
-    def outcome(found: bool, theta: np.ndarray, iterations: int, cost: float) -> SearchOutcome:
-        change = StrengthChange({
-            a: float(theta[plan.index[a]])
-            for a in m_ids
-            if theta[plan.index[a]] != plan.tau[plan.index[a]]
-        }) if found else None
-        return SearchOutcome(
-            "found" if found else "not_found",
-            change,
-            iterations,
-            cost,
-            {a: float(theta[plan.index[a]]) for a in plan.ids},
-            trajectory,
-        )
+def _adam_search(workspace: _Workspace, cfg: SearchConfig, trajectory: list[float] | None) -> SearchOutcome:
+    """heuristic_search on a compiled workspace; appends each iteration's
+    cost to `trajectory` unless it is None."""
+    plan, spec, m_idx = workspace.plan, workspace.spec, workspace.m_idx
+    if not m_idx.size:
+        cost, ok = workspace.check(plan.tau, cfg)
+        return workspace.outcome(ok, plan.tau, 1, cost, trajectory)
 
-    if not m_ids:
-        cost, ok = check(plan.tau)
-        return outcome(ok, plan.tau, 1, cost)
-
-    workspace = _Workspace(plan, spec, rule, m_idx, cfg.perturbation)
     total_iterations = 0
     best_cost = float("inf")
     best_theta = plan.tau.copy()
@@ -272,17 +291,17 @@ def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -
             if trajectory is not None:
                 trajectory.append(float(cost0))
             if cost0 <= cfg.cost_tolerance:
-                cost, ok = check(theta)
+                cost, ok = workspace.check(theta, cfg)
                 if ok:
-                    return outcome(True, theta, total_iterations, cost)
+                    return workspace.outcome(True, theta, total_iterations, cost, trajectory)
                 if not np.any(grads):
                     break  # flat spot that fails the exact check: restart
             adam, step = adam_step(adam, grads, alpha, cfg.beta1, cfg.beta2, cfg.adam_eps)
             theta[m_idx] = spec.domain.clamp(theta[m_idx] + step)
             alpha *= cfg.alpha_decay
-        cost_end, _ = check(theta)
+        cost_end, _ = workspace.check(theta, cfg)
         if cost_end < best_cost:
             best_cost = cost_end
             best_theta = theta.copy()
 
-    return outcome(False, best_theta, total_iterations, best_cost)
+    return workspace.outcome(False, best_theta, total_iterations, best_cost, trajectory)

@@ -3,7 +3,9 @@
 `perfbench/tracing.py` swaps the `qbagx.semantics` globals that
 `final_strengths` calls for traced ones, and `perfbench/workloads.py` reads
 attributes of a compiled plan; a rename in the package would break
-`--trace 1` with no other test failing.
+`--trace 1` with no other test failing. The `exact` workload's checks also
+read the reductions' results, their `iterations_used` and the
+counterfactual tolerance.
 """
 
 import re
@@ -49,3 +51,30 @@ def test_the_plan_attributes_the_workloads_read_exist():
         plan = compile_graph(g)
         for name in read | {"acyclic", "tau", "ids", "index"}:
             assert hasattr(plan, name), name
+
+
+def test_the_reduction_names_the_exact_workload_reads_exist():
+    source = (PERFBENCH / "workloads.py").read_text()
+    assert "q.reductions.COUNTERFACTUAL_SEARCH_DEFAULTS.cost_tolerance" in source
+    assert "outcome.iterations_used" in source
+    tolerance = q.reductions.COUNTERFACTUAL_SEARCH_DEFAULTS.cost_tolerance
+    assert tolerance > 0.0
+
+    g = q.make_qbag({"p": 0.3, "t": 0.4}, supports=[("p", "t")])
+    problem = q.CounterfactualProblem(g, "t", 0.7, q.DFQUAD)
+    scores, outcome = q.solve_counterfactual(problem)
+    assert isinstance(outcome, q.SearchOutcome)
+    assert isinstance(outcome.iterations_used, int) and outcome.iterations_used >= 1
+    assert set(scores) == {"p", "t"}
+    reached = q.final_strengths(q.make_qbag(scores, g.attacks, g.supports), q.DFQUAD)["t"]
+    assert abs(reached - 0.7) <= tolerance + 1e-12
+
+    scores, outcome = q.solve_counterfactual(problem, q.SearchConfig(max_iterations=1, restarts=0))
+    assert scores is None
+    assert isinstance(outcome, q.SearchOutcome) and isinstance(outcome.iterations_used, int)
+
+    inverse = q.make_inverse_problem(["a", "b"], [], [("a", "b")], [["a"], ["b"]])
+    solution = q.solve_inverse(inverse, q.QUADRATIC_ENERGY)
+    assert set(solution) == {"a", "b"}
+    assert q.satisfies(q.make_qbag(solution, inverse.attacks, inverse.supports), q.QUADRATIC_ENERGY,
+                       inverse.ordering, mode="exact")

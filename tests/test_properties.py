@@ -129,3 +129,66 @@ def test_search_agrees_with_oracle_under_other_semantics(token):
             assert q.is_explanation(query, outcome.change, mode="weak")
     assert oracle_found >= 10
     assert agreed / oracle_found >= 0.9
+
+
+def seeded_counterfactuals():
+    """Counterfactual problems shaped like the benchmark's: a last-layer topic
+    of a `4,8,4` graph driven 0.1-0.3 away from its strength, under eb and qe;
+    one of those graphs with a back edge (cyclic, qe); one under naive, whose
+    domain is unbounded."""
+    struct = q.structure((4, 8, 4))
+
+    def problem(k, spec, back_edge=False):
+        inst = q.generate(q.GenSpec(struct, "random", 300 + k, semantics=spec))
+        g = inst.graph
+        if back_edge:
+            g = q.make_qbag(g.base_scores, g.attacks, g.supports | {(inst.layers[-1][0], inst.layers[0][0])})
+        rng = np.random.default_rng(k)
+        topic = inst.layers[-1][rng.integers(len(inst.layers[-1]))]
+        current = q.final_strengths(g, spec)[topic]
+        target = current + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.3)
+        if spec.domain.bounded:
+            target = np.clip(target, 0.02, 0.98)
+        return q.CounterfactualProblem(g, topic, float(target), spec)
+
+    problems = [problem(k, q.builtin_semantics(("eb", "qe")[k % 2])) for k in range(24)]
+    problems.append(problem(24, q.QUADRATIC_ENERGY, back_edge=True))
+    problems.append(problem(25, q.NAIVE))
+    return problems
+
+
+def test_counterfactual_solutions_reach_their_targets_wherever_adam_does():
+    cfg = q.reductions.COUNTERFACTUAL_SEARCH_DEFAULTS
+    problems = seeded_counterfactuals()
+    assert not compile_graph(problems[24].graph).acyclic
+    solved = 0
+    for p in problems:
+        scores, outcome = q.solve_counterfactual(p)
+        adam = q.heuristic_search(q.reduce_counterfactual(p), cfg)
+        assert scores is not None or not adam.found
+        if scores is None:
+            continue
+        solved += 1
+        assert set(scores) == set(p.graph.arguments)
+        g = q.make_qbag(scores, p.graph.attacks, p.graph.supports)
+        assert abs(q.final_strengths(g, p.semantics)[p.topic] - p.target) <= cfg.cost_tolerance + 1e-12
+    assert solved == len(problems)
+
+
+def test_inverse_solutions_realize_their_orderings_wherever_adam_does():
+    cfg = q.reductions.INVERSE_SEARCH_DEFAULTS
+    spec = q.QUADRATIC_ENERGY
+    solved = 0
+    for seed in range(10):
+        g = q.generate(q.GenSpec(q.structure((2, 2, 2)), "random", 500 + seed, semantics=spec)).graph
+        perm = np.random.default_rng(seed).permutation(len(g.arguments))
+        p = q.make_inverse_problem(g.arguments, g.attacks, g.supports, [[g.arguments[j]] for j in perm])
+        scores = q.solve_inverse(p, spec)
+        start = q.assign_uniform(p, 0.0)
+        adam = q.heuristic_search(q.ExplanationQuery(start, spec, frozenset(p.arguments), p.ordering), cfg)
+        assert scores is not None or not adam.found
+        if scores is None:
+            continue
+        solved += 1
+        assert q.satisfies(q.make_qbag(scores, p.attacks, p.supports), spec, p.ordering, mode="exact")
+    assert solved >= 8

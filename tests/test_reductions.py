@@ -47,7 +47,7 @@ def test_solve_inverse_running_example():
     assert q.satisfies(known, q.NAIVE, problem.ordering, mode="exact")
 
 
-def test_solve_inverse_compiles_the_graph_once(monkeypatch):
+def count_plans(monkeypatch) -> list:
     compiles = []
     init = q.semantics.GraphPlan.__init__
 
@@ -56,8 +56,60 @@ def test_solve_inverse_compiles_the_graph_once(monkeypatch):
         init(plan, g)
 
     monkeypatch.setattr(q.semantics.GraphPlan, "__init__", counting_init)
+    return compiles
+
+
+def count_fallbacks(monkeypatch) -> list:
+    calls = []
+    adam = q.reductions._adam_search
+
+    def counting(*args):
+        calls.append(args)
+        return adam(*args)
+
+    monkeypatch.setattr(q.reductions, "_adam_search", counting)
+    return calls
+
+
+def test_solve_inverse_compiles_the_graph_once(monkeypatch):
+    compiles = count_plans(monkeypatch)
     assert q.solve_inverse(example_inverse_problem(), q.NAIVE) is not None
     assert len(compiles) == 1
+
+
+@pytest.fixture
+def stalled_jacobian_phase(monkeypatch):
+    """A least-squares solver that finds no step stalls the Jacobian phase
+    after its first batch, so every solve goes to the fallback search."""
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.zeros(a.shape[1]),))
+
+
+def test_solve_inverse_compiles_the_graph_once_on_the_fallback_path(monkeypatch, stalled_jacobian_phase):
+    compiles = count_plans(monkeypatch)
+    fallbacks = count_fallbacks(monkeypatch)
+    assert q.solve_inverse(example_inverse_problem(), q.NAIVE) is not None
+    assert len(fallbacks) == 1
+    assert len(compiles) == 1
+
+
+def test_solve_counterfactual_compiles_the_graph_once_on_the_fallback_path(monkeypatch, stalled_jacobian_phase):
+    problem = q.CounterfactualProblem(fig_graph(), "c", 6.0, q.NAIVE)  # evaluates its graph
+    compiles = count_plans(monkeypatch)
+    fallbacks = count_fallbacks(monkeypatch)
+    scores, outcome = q.solve_counterfactual(problem)
+    assert scores is not None
+    assert len(fallbacks) == 1
+    assert outcome.iterations_used > 1  # the Jacobian batch plus Adam's
+    assert len(compiles) == 1
+
+
+def test_jacobian_steps_solve_the_running_examples_without_the_fallback(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    assert q.solve_inverse(example_inverse_problem(), q.NAIVE) is not None
+    scores, outcome = q.solve_counterfactual(q.CounterfactualProblem(fig_graph(), "c", 6.0, q.NAIVE))
+    assert scores is not None
+    assert outcome.iterations_used <= 5
+    assert fallbacks == []
 
 
 def test_solve_inverse_single_argument():
@@ -72,6 +124,26 @@ def test_solve_inverse_returns_none_on_exhausted_budget():
     problem = example_inverse_problem()
     cfg = q.SearchConfig(max_iterations=1, restarts=0, satisfaction="exact")
     assert q.solve_inverse(problem, q.NAIVE, cfg) is None
+
+
+def test_solve_counterfactual_returns_none_on_exhausted_budget():
+    # the twin of the inverse case: one batch in the Jacobian phase and one
+    # Adam iteration cannot reach the target, and iterations_used counts both
+    problem = q.CounterfactualProblem(fig_graph(), "c", 6.0, q.NAIVE)
+    scores, outcome = q.solve_counterfactual(problem, q.SearchConfig(max_iterations=1, restarts=0))
+    assert scores is None
+    assert not outcome.found
+    assert outcome.iterations_used == 2
+
+
+def test_solve_counterfactual_trajectory_covers_both_phases(stalled_jacobian_phase):
+    cfg = q.SearchConfig(max_iterations=3, restarts=0, record_trajectory=True)
+    problem = q.CounterfactualProblem(fig_graph(), "c", 6.0, q.NAIVE)
+    scores, outcome = q.solve_counterfactual(problem, cfg)
+    assert scores is None
+    assert outcome.iterations_used == 1 + 3  # the stalled Jacobian batch, then Adam's three
+    assert len(outcome.trajectory) == outcome.iterations_used
+    assert outcome.trajectory[0] == pytest.approx(2.0)  # |sigma(c) - 6| at the start
 
 
 def test_solve_inverse_strips_nothing_from_default_start():

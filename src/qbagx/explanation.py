@@ -11,6 +11,12 @@ final-strength preorder on the topic set equals the tier preorder (strict
 inequality across tiers, equality within a tier). "weak" demands only that
 no argument in a lower tier ends up strictly stronger than one in a higher
 tier, which is the zero-of-the-ReLU-cost criterion the search targets.
+
+OrderingRule holds the one verdict rule that the verifier, the search and
+the oracle share: a column of base scores is judged by its topics' final
+strengths only, so other arguments may stay undefined. The verifier and the
+search raise UndefinedStrengthError for an undefined topic; the oracle counts
+that column as not satisfying.
 """
 
 from __future__ import annotations
@@ -210,16 +216,21 @@ class OrderingRule:
         tied = (a <= b + tolerance) & (b <= a + tolerance)
         return apart.all(axis=0) & tied.all(axis=0)
 
+    def evaluate(self, plan, spec: SemanticsSpec, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Strengths of the base-score columns `tau` on `plan`, and which topic
+        strengths are undefined (one row per topic). A column is judged by its
+        topics' strengths alone, whatever the other arguments' strengths."""
+        sigma, defined = evaluate_matrix(plan, spec, tau)
+        return sigma, ~defined[self.topics]
 
-def _verdict(plan, spec: SemanticsSpec, ordering: DesiredOrdering, tau: np.ndarray, mode: str, tolerance: float) -> bool:
-    """Verdict for one base-score column `tau` evaluated on `plan`."""
-    rule = OrderingRule(plan.index, ordering)
-    check_scores_in_domain(plan, spec, tau)
-    sigma, defined = evaluate_matrix(plan, spec, tau)
-    undefined = [plan.ids[i] for i in rule.topics if not defined[i, 0]]
-    if undefined:
-        raise UndefinedStrengthError(f"final strength of {undefined[0]!r} is undefined")
-    return bool(rule.holds(sigma, mode, tolerance)[0])
+    def strengths(self, plan, spec: SemanticsSpec, tau: np.ndarray) -> np.ndarray:
+        """The strengths from `evaluate`, or UndefinedStrengthError naming the
+        first topic whose strength is undefined in some column."""
+        sigma, undefined = self.evaluate(plan, spec, tau)
+        if undefined.any():
+            topic = self.topics[undefined.any(axis=1).argmax()]
+            raise UndefinedStrengthError(f"final strength of {plan.ids[topic]!r} is undefined")
+        return sigma
 
 
 def satisfies(
@@ -235,8 +246,7 @@ def satisfies(
     (tolerance widens what counts as a tie; the default 0.0 compares the
     computed strengths directly). weak: ties across tiers are allowed.
     """
-    plan = compile_graph(g)
-    return _verdict(plan, spec, ordering, plan.tau[:, None], mode, tolerance)
+    return is_explanation(ExplanationQuery(g, spec, frozenset(), ordering), EMPTY_CHANGE, mode, tolerance)
 
 
 def validate_change(g: QBAG, change: StrengthChange, domain=None) -> None:
@@ -278,10 +288,13 @@ def is_explanation(
         return False
     validate_change(query.graph, change, query.semantics.domain)
     plan = compile_graph(query.graph)
+    rule = OrderingRule(plan.index, query.ordering)
     tau = plan.tau.copy()
     for x, v in change.entries.items():
         tau[plan.index[x]] = v
-    return _verdict(plan, query.semantics, query.ordering, tau[:, None], mode, tolerance)
+    check_scores_in_domain(plan, query.semantics, tau[:, None])
+    sigma = rule.strengths(plan, query.semantics, tau[:, None])
+    return bool(rule.holds(sigma, mode, tolerance)[0])
 
 
 def is_epsilon_approximate(

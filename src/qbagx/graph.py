@@ -160,15 +160,7 @@ def can_reach(g: QBAG, sources: Iterable[str], targets: Iterable[str]) -> bool:
     sources = set(sources)
     targets = set(targets)
     g._require(*sources, *targets)
-    succ = successors_map(g)
-    frontier = {b for s in sources for b in succ[s]}
-    seen: set[str] = set()
-    while frontier:
-        if frontier & targets:
-            return True
-        seen |= frontier
-        frontier = {b for x in frontier for b in succ[x]} - seen
-    return False
+    return not reachable_from(g, sources).isdisjoint(targets)
 
 
 def reachable_from(g: QBAG, sources: Iterable[str]) -> set[str]:
@@ -346,7 +338,9 @@ def parse_qbag(data: bytes | str) -> QBAG:
 
     Schema: {"arguments": [{"id": ..., "base_score": ...}, ...],
     "attacks": [[from, to], ...], "supports": [[from, to], ...]}.
-    Unknown keys are rejected; attacks/supports may be omitted.
+    Unknown keys are rejected; attacks/supports may be omitted. The graph
+    builds its topology here, which rejects an edge with an endpoint outside
+    the argument set or in both relations.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -381,8 +375,9 @@ def parse_qbag(data: bytes | str) -> QBAG:
     scores = _checked_scores(scores)
     attacks = _parse_edges(doc.get("attacks", []), "attacks")
     supports = _parse_edges(doc.get("supports", []), "supports")
-    check_edges(scores.keys(), attacks, supports)
-    return QBAG(tuple(scores), scores, attacks, supports)
+    g = QBAG(tuple(scores), scores, attacks, supports)
+    g.topology  # built now: the build is the edge check
+    return g
 
 
 def serialize_qbag(g: QBAG) -> bytes:

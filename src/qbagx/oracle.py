@@ -3,13 +3,16 @@
 Ground truth for tiny instances: enumerates every grid assignment to the
 mutable set (each argument's candidates are the grid points plus its
 current score, so "leave unchanged" is always available) and reports the
-cheapest assignment that satisfies the ordering. The enumeration streams in
-C order over fixed-width column chunks, each evaluated as one batch on the
-one compiled plan, keeping a running minimum and its tie-break, so memory
-stays bounded by the chunk width whatever the grid size. Certification
-reads the same stream and stops at the first chunk that refutes the change.
-Deliberately unscalable in time; the caps on the mutable set and the number
-of assignments keep the enumeration honest.
+cheapest assignment that satisfies the ordering; an assignment that leaves a
+topic's strength undefined does not satisfy it (OrderingRule.evaluate), and
+other arguments' strengths do not count. Explicit grid bounds must lie in
+the semantics domain. The enumeration streams in C order over fixed-width
+column chunks, each evaluated as one batch on the one compiled plan, keeping
+a running minimum and its tie-break, so memory stays bounded by the chunk
+width whatever the grid size. Certification reads the same stream and stops
+at the first chunk that refutes the change. Deliberately unscalable in time;
+the caps on the mutable set and the number of assignments keep the
+enumeration honest.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, DomainError
 from .explanation import ExplanationQuery, OrderingRule, StrengthChange, amount_of_change
-from .semantics import check_scores_in_domain, compile_graph, evaluate_matrix
+from .semantics import check_scores_in_domain, compile_graph
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,8 @@ class GridSpec:
                 raise ValueError("grid step and bounds must be finite")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
+        if self.lower is not None and self.upper is not None and self.lower > self.upper:
+            raise ValueError("grid lower bound exceeds its upper bound")
         if self.max_mutable < 0:
             raise ValueError("max_mutable must be non-negative")
 
@@ -58,6 +63,9 @@ _CHUNK = 32_768
 
 
 def _grid_values(grid: GridSpec, domain) -> np.ndarray:
+    for bound in (grid.lower, grid.upper):
+        if bound is not None and not domain.contains(bound):
+            raise DomainError(f"grid bound {bound} outside domain [{domain.lower}, {domain.upper}]")
     lower = grid.lower if grid.lower is not None else domain.lower
     upper = grid.upper if grid.upper is not None else domain.upper
     if not (np.isfinite(lower) and np.isfinite(upper)):
@@ -103,8 +111,8 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iter
             picks = np.unravel_index(np.arange(start, start + width), shape)
             for row, vals, pick in zip(rows, candidates, picks):
                 batch[row] = vals[pick]
-        sigma, defined = evaluate_matrix(plan, spec, batch)
-        ok = rule.holds(sigma, mode) & defined.all(axis=0)
+        sigma, undefined = rule.evaluate(plan, spec, batch)
+        ok = rule.holds(sigma, mode) & ~undefined.any(axis=0)
         if ok.any():
             norms = np.where(ok, np.abs(batch[rows] - tau_m[:, None]).sum(axis=0), np.inf)
             chunk_norm = float(norms.min())

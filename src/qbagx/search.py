@@ -11,9 +11,10 @@ width-1 evaluation on the same plan before it is returned.
 A search allocates one workspace: the finite-difference batch and its
 strengths buffer, refilled in place on every iteration. On acyclic plans
 the batch goes straight through the level pass into that buffer, without
-evaluate_matrix's checks and defined mask; cyclic plans go through
-evaluate_matrix, which reports non-convergence. The arithmetic is that of
-a fresh batch per iteration, so trajectories are the same bit for bit.
+evaluate_matrix's checks and defined mask; cyclic plans, and the width-1
+acceptance checks, go through OrderingRule.strengths, which raises only when
+a topic's strength is undefined. The arithmetic is that of a fresh batch per
+iteration, so trajectories are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import UndefinedStrengthError
 from .explanation import DesiredOrdering, ExplanationQuery, OrderingRule, StrengthChange
-from .semantics import GraphPlan, SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix, level_pass
+from .semantics import GraphPlan, SemanticsSpec, check_scores_in_domain, compile_graph, level_pass
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,11 @@ class SearchConfig:
             raise ValueError("alpha must be positive")
         if not 0.0 < self.alpha_decay <= 1.0:
             raise ValueError("alpha_decay must be in (0, 1]")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ValueError("adam_eps must be positive")
         if self.satisfaction not in ("weak", "exact"):
             raise ValueError(f"unknown satisfaction mode: {self.satisfaction!r}")
 
@@ -168,10 +174,7 @@ class _Workspace:
         batch[self.m_idx, self.cols] = base + self.dirs * self.eps
         if self.plan.acyclic:
             return level_pass(self.plan, self.spec, batch, self.sigma, self.sigma)
-        sigma, defined = evaluate_matrix(self.plan, self.spec, batch)
-        if not defined.all():
-            raise UndefinedStrengthError("strength evaluation did not converge during the search")
-        return sigma
+        return self.rule.strengths(self.plan, self.spec, batch)
 
     def costs(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost at theta plus finite-difference gradients for every mutable
@@ -188,9 +191,7 @@ class _Workspace:
     def check(self, theta: np.ndarray, cfg: SearchConfig) -> tuple[float, bool]:
         """Cost and acceptance of theta from a fresh width-1 evaluation, so
         the verdict does not depend on the finite-difference batch width."""
-        sigma, defined = evaluate_matrix(self.plan, self.spec, theta[:, None])
-        if not defined.all():
-            raise UndefinedStrengthError("strength evaluation did not converge during the search")
+        sigma = self.rule.strengths(self.plan, self.spec, theta[:, None])
         cost = float(self.rule.costs(sigma)[0])
         if cost > cfg.cost_tolerance:
             return cost, False
@@ -220,13 +221,10 @@ def finite_diff_gradient(
     eps: float = 1e-4,
 ) -> dict[str, float]:
     """Difference-quotient gradient of the cost w.r.t. each mutable base score."""
-    plan = compile_graph(g)
-    check_scores_in_domain(plan, spec, plan.tau[:, None])
-    m_ids = sorted(mutable)
-    m_idx = np.array([plan.index[a] for a in m_ids], dtype=int)
-    workspace = _Workspace(plan, spec, OrderingRule(plan.index, ordering), m_idx, eps)
-    _, grads = workspace.costs(plan.tau)
-    return {a: float(v) for a, v in zip(m_ids, grads)}
+    query = ExplanationQuery(g, spec, mutable, ordering)
+    workspace = _Workspace.for_query(query, eps)
+    _, grads = workspace.costs(workspace.plan.tau)
+    return {a: float(v) for a, v in zip(sorted(query.mutable), grads)}
 
 
 @dataclass

@@ -162,6 +162,18 @@ def test_oracle_certify(fig_file, tmp_path, capsys):
     assert json.loads(out)["verdict"] == "no"
 
 
+@pytest.mark.parametrize("bounds", [("--lower", "4", "--upper", "0"), ("--lower", "-1", "--upper", "1")])
+def test_oracle_rejects_bad_grid_bounds(tmp_path, capsys, bounds):
+    g = q.make_qbag({"a": 0.5, "b": 0.6, "t": 0.5}, attacks=[("a", "t")])
+    path = tmp_path / "g.json"
+    path.write_bytes(q.serialize_qbag(g))
+    code, out, err = run_cli(
+        capsys, "oracle", "--graph", str(path), "--semantics", "dfquad",
+        "--ordering", "t>b", "--mutable", "a", "--grid-step", "0.25", *bounds,
+    )
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_inverse_subcommand(tmp_path, capsys):
     problem = {
         "arguments": ["a", "b", "c", "d", "e"],
@@ -222,7 +234,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("config", [
     '{"max_iterations": 2.5}', '{"restarts": "2"}', '{"rng_seed": 1.5, "restarts": 1}',
-    '{"record_trajectory": 1}', '{"max_iterations": true}',
+    '{"record_trajectory": 1}', '{"max_iterations": true}', '{"beta1": 1}', '{"adam_eps": 0}',
 ])
 def test_explain_rejects_search_config_fields_of_the_wrong_type(fig_file, capsys, config):
     code, _, err = run_cli(

@@ -6,7 +6,7 @@ import pytest
 
 import qbagx as q
 import qbagx.oracle
-from qbagx.errors import BudgetError
+from qbagx.errors import BudgetError, DomainError
 
 from helpers import brute_force_reference, fig_graph, fig_query, random_tiny_query
 
@@ -132,6 +132,28 @@ def test_non_finite_grid_rejected():
             q.GridSpec(**bad)
 
 
+def test_reversed_grid_rejected():
+    """A reversed grid used to hold one point and certify a change the
+    oracle beats on the ordered grid."""
+    with pytest.raises(ValueError, match="lower bound exceeds"):
+        q.GridSpec(step=0.25, lower=4, upper=0)
+    query = fig_query()
+    change = q.heuristic_search(query).change
+    assert q.amount_of_change(query.graph, change) == pytest.approx(1.4)
+    assert q.certify_epsilon(query, change, 0.0, q.GridSpec(step=0.25, lower=0, upper=4)) == "no"
+
+
+def test_grid_bounds_outside_the_semantics_domain_rejected():
+    """An out-of-domain bound used to yield a witness the verifier rejects."""
+    g = q.make_qbag({"a": 0.5, "b": 0.6, "t": 0.5}, attacks=[("a", "t")])
+    query = q.ExplanationQuery(g, q.DFQUAD, frozenset({"a"}), q.ordering_from_tiers([["b"], ["t"]]))
+    assert q.brute_force_search(query, q.GridSpec(step=0.25)).best is None
+    for bounds in ({"lower": -1, "upper": 1}, {"lower": 0, "upper": 2}, {"lower": -0.5}, {"upper": 1.5}):
+        with pytest.raises(DomainError, match="outside domain"):
+            q.brute_force_search(query, q.GridSpec(step=0.25, **bounds))
+    assert q.brute_force_search(query, q.GridSpec(step=0.25, lower=0, upper=1)).best is None
+
+
 def test_grid_point_cap_enforced():
     query = random_tiny_query(7, max_mutable=3)
     with pytest.raises(BudgetError):
@@ -200,13 +222,13 @@ def test_exact_mode_witnesses_are_exact_explanations():
 
 def test_oracle_batches_stay_within_one_chunk(monkeypatch):
     widths = []
-    evaluate = qbagx.oracle.evaluate_matrix
+    evaluate = qbagx.explanation.evaluate_matrix
 
     def recording(plan, spec, tau, *args, **kwargs):
         widths.append(tau.shape[1])
         return evaluate(plan, spec, tau, *args, **kwargs)
 
-    monkeypatch.setattr(qbagx.oracle, "evaluate_matrix", recording)
+    monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
     grid = q.GridSpec(step=0.125, lower=0.0, upper=4.0)  # 33 values, each base score among them
     result = q.brute_force_search(fig_query(mutable=("a", "d", "e")), grid)
     assert result.points == 33 ** 3 > qbagx.oracle._CHUNK

@@ -1,10 +1,13 @@
 """Existence / non-existence properties of explanations, checked against the
 brute-force oracle on small instances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qbagx as q
+from qbagx.errors import UndefinedStrengthError
 from qbagx.semantics import compile_graph, evaluate_matrix
 
 from helpers import random_tiny_query
@@ -129,6 +132,75 @@ def test_search_agrees_with_oracle_under_other_semantics(token):
             assert q.is_explanation(query, outcome.change, mode="weak")
     assert oracle_found >= 10
     assert agreed / oracle_found >= 0.9
+
+
+# sum + linear(1): an attack cycle x <-> y of base scores 1.0 flips between
+# (1, 1) and (0, 0) on every sweep, so its strengths stay undefined
+OSCILLATING = q.SemanticsSpec("sum", q.Influence("linear", k=1.0), q.UNIT_INTERVAL, max_sweeps=50)
+
+
+def with_oscillating_pair(query):
+    """The query on its graph plus a disconnected pair x <-> y whose final
+    strengths are undefined; its topics are judged as before."""
+    g = query.graph
+    scores = {**g.base_scores, "x": 1.0, "y": 1.0}
+    g = q.make_qbag(scores, g.attacks | {("x", "y"), ("y", "x")}, g.supports)
+    return q.ExplanationQuery(g, OSCILLATING, query.mutable, query.ordering)
+
+
+def test_verifier_oracle_and_search_agree_when_a_non_topic_strength_is_undefined():
+    """x, y and z oscillate and end undefined; the topics w and v do not.
+    Every entry point judges the ordering w < v on the topics alone."""
+    spec = dataclasses.replace(OSCILLATING, max_sweeps=500)
+    g = q.make_qbag({"w": 0.4, "v": 0.6, "x": 1.0, "y": 1.0, "z": 0.5},
+                    attacks=[("x", "y"), ("y", "x")], supports=[("x", "z")])
+    assert [q.final_strengths(g, spec)[a] for a in "xyz"] == [None] * 3
+    ordering = q.ordering_from_tiers([["w"], ["v"]])
+    query = q.ExplanationQuery(g, spec, frozenset({"w", "v"}), ordering)
+    change, grid = q.StrengthChange({"w": 0.3}), q.GridSpec(step=0.25)
+
+    assert q.satisfies(g, spec, ordering, "exact")
+    assert q.is_explanation(query, q.EMPTY_CHANGE, "weak") and q.is_explanation(query, change, "weak")
+    result = q.brute_force_search(query, grid)
+    assert (result.best, result.best_norm, result.points) == (q.EMPTY_CHANGE, 0.0, 36)
+    assert q.certify_epsilon(query, change, 0.0, grid) == "no"  # the empty change beats it by 0.1
+    outcome = q.heuristic_search(query)
+    assert outcome.found and outcome.change == q.EMPTY_CHANGE
+
+    # an undefined topic: the verifier and the search raise, the oracle skips the column
+    on_z = q.ExplanationQuery(g, spec, frozenset({"w"}), q.ordering_from_tiers([["w"], ["z"]]))
+    with pytest.raises(UndefinedStrengthError, match="final strength of 'z' is undefined"):
+        q.is_explanation(on_z, q.EMPTY_CHANGE, "weak")
+    with pytest.raises(UndefinedStrengthError, match="'z'"):
+        q.satisfies(g, spec, on_z.ordering, "weak")
+    with pytest.raises(UndefinedStrengthError, match="'z'"):
+        q.heuristic_search(on_z)
+    assert q.brute_force_search(on_z, grid).best is None
+
+
+def test_entry_points_agree_beside_an_undefined_pair():
+    """Tiny random queries plus a disconnected pair whose strengths are
+    undefined: every oracle witness and every search result passes the
+    verifier, the oracle finds the empty change whenever the graph already
+    satisfies the ordering, and satisfies is the verdict on the empty change."""
+    satisfied = found = 0
+    for seed in range(30):
+        query = with_oscillating_pair(random_tiny_query(seed))
+        g, spec, ordering = query.graph, query.semantics, query.ordering
+        assert q.final_strengths(g, spec)["x"] is None
+        holds = q.satisfies(g, spec, ordering, "weak")
+        assert holds == q.is_explanation(query, q.EMPTY_CHANGE, "weak")
+        result = q.brute_force_search(query, q.GridSpec(step=0.25))
+        if result.best is not None:
+            assert q.is_explanation(query, result.best, "weak"), seed
+        if holds:
+            satisfied += 1
+            assert result.best_norm == 0.0, seed
+        outcome = q.heuristic_search(query)
+        if outcome.found:
+            found += 1
+            assert q.is_explanation(query, outcome.change, "weak"), seed
+    assert satisfied >= 5 and found >= 15
 
 
 def seeded_counterfactuals():

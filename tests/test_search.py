@@ -189,6 +189,12 @@ def test_search_config_validation():
                 q.SearchConfig(**{field: bad})
     with pytest.raises(ValueError, match="restarts must be >= 0"):
         q.SearchConfig(restarts=-1)
+    # Adam divides by 1 - beta**t and by sqrt(v_hat) + adam_eps: these made its steps NaN
+    for field, bad in (("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("adam_eps", 0.0),
+                       ("adam_eps", -1e-8)):
+        with pytest.raises(ValueError, match=field):
+            q.SearchConfig(**{field: bad})
+    assert q.SearchConfig(beta1=0.0, beta2=0.0).beta1 == 0.0
     for bad in (1, "yes", None):
         with pytest.raises(ValueError, match="record_trajectory"):
             q.SearchConfig(record_trajectory=bad)
@@ -294,7 +300,7 @@ def test_search_reuses_one_workspace(monkeypatch):
     level pass into buffers it allocates once; evaluate_matrix runs only for
     the width-1 acceptance checks."""
     widths, passes = [], []
-    evaluate, level_pass = qbagx.search.evaluate_matrix, qbagx.search.level_pass
+    evaluate, level_pass = qbagx.explanation.evaluate_matrix, qbagx.search.level_pass
 
     def recording_evaluate(plan, spec, tau, *args, **kwargs):
         widths.append(tau.shape[1])
@@ -304,7 +310,7 @@ def test_search_reuses_one_workspace(monkeypatch):
         passes.append((tau, src, out))
         return level_pass(plan, spec, tau, src, out)
 
-    monkeypatch.setattr(qbagx.search, "evaluate_matrix", recording_evaluate)
+    monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording_evaluate)
     monkeypatch.setattr(qbagx.search, "level_pass", recording_pass)
     unreachable = q.ExplanationQuery(
         q.make_qbag({"m": 0.5, "t": 0.2, "u": 0.6}, supports=[("t", "m")]),

@@ -216,17 +216,19 @@ class OrderingRule:
         tied = (a <= b + tolerance) & (b <= a + tolerance)
         return apart.all(axis=0) & tied.all(axis=0)
 
-    def evaluate(self, plan, spec: SemanticsSpec, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, plan, spec: SemanticsSpec, tau: np.ndarray, buffers=None) -> tuple[np.ndarray, np.ndarray]:
         """Strengths of the base-score columns `tau` on `plan`, and which topic
         strengths are undefined (one row per topic). A column is judged by its
-        topics' strengths alone, whatever the other arguments' strengths."""
-        sigma, defined = evaluate_matrix(plan, spec, tau)
+        topics' strengths alone, whatever the other arguments' strengths.
+        `buffers` are the caller's semantics.PassBuffers, as evaluate_matrix
+        takes them."""
+        sigma, defined = evaluate_matrix(plan, spec, tau, buffers=buffers)
         return sigma, ~defined[self.topics]
 
-    def strengths(self, plan, spec: SemanticsSpec, tau: np.ndarray) -> np.ndarray:
+    def strengths(self, plan, spec: SemanticsSpec, tau: np.ndarray, buffers=None) -> np.ndarray:
         """The strengths from `evaluate`, or UndefinedStrengthError naming the
         first topic whose strength is undefined in some column."""
-        sigma, undefined = self.evaluate(plan, spec, tau)
+        sigma, undefined = self.evaluate(plan, spec, tau, buffers)
         if undefined.any():
             topic = self.topics[undefined.any(axis=1).argmax()]
             raise UndefinedStrengthError(f"final strength of {plan.ids[topic]!r} is undefined")

@@ -11,13 +11,15 @@ per mutable argument over valid runs only.
 from __future__ import annotations
 
 import csv
+import math
 import time
-import warnings
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Iterable, Mapping
 
-from scipy.stats import ConstantInputWarning, kendalltau, spearmanr
+import numpy as np
 
 from .explanation import DesiredOrdering, ExplanationQuery, amount_of_change
 from .generators import GenSpec, LayerStructure, generate_batch, mutable_preset
@@ -39,20 +41,31 @@ def _target_and_achieved(ordering: DesiredOrdering, strengths: Mapping[str, floa
 def kendall_tau(ordering: DesiredOrdering, strengths: Mapping[str, float]) -> float:
     """Tie-corrected (tau-b) correlation between the desired ranks and the
     achieved strengths; 1 means equal order, -1 reversed. All-tied strengths
-    carry no rank information and count as 0."""
+    carry no rank information and count as 0. Counts the pairs directly and
+    evaluates scipy.stats.kendalltau's expression, operation for operation:
+    (concordant - discordant) / sqrt(pairs - x ties) / sqrt(pairs - y ties),
+    clipped to [-1, 1]."""
     target, achieved = _target_and_achieved(ordering, strengths)
-    value = float(kendalltau(target, achieved).statistic)
-    return 0.0 if value != value else value
+    signs = [((xi > xj) - (xi < xj), (yi > yj) - (yi < yj))
+             for (xi, yi), (xj, yj) in combinations(zip(target, achieved), 2)]
+    x_ties, y_ties = sum(dx == 0 for dx, _ in signs), sum(dy == 0 for _, dy in signs)
+    if len(signs) in (x_ties, y_ties):
+        return 0.0
+    tau = sum(dx * dy for dx, dy in signs) / math.sqrt(len(signs) - x_ties) / math.sqrt(len(signs) - y_ties)
+    return min(1.0, max(-1.0, tau))
 
 
 def spearman_rho(ordering: DesiredOrdering, strengths: Mapping[str, float]) -> float:
-    """Spearman correlation with average ranks for ties; 0 when either side
-    is constant."""
+    """Spearman correlation with average ranks for ties (np.corrcoef of the
+    ranks, as scipy.stats.spearmanr computes it); 0 when either side is
+    constant."""
     target, achieved = _target_and_achieved(ordering, strengths)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConstantInputWarning)
-        value = float(spearmanr(target, achieved).statistic)
-    return 0.0 if value != value else value
+    if len(set(target)) == 1 or len(set(achieved)) == 1:
+        return 0.0
+    # a value's average rank: the mean of the 1-based positions its ties take when sorted
+    ranks = [[(bisect_left(order, x) + bisect_right(order, x) + 1) / 2 for x in side]
+             for side, order in ((target, sorted(target)), (achieved, sorted(achieved)))]
+    return float(np.corrcoef(*ranks)[1, 0])
 
 
 @dataclass(frozen=True)

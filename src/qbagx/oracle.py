@@ -9,10 +9,12 @@ other arguments' strengths do not count. Explicit grid bounds must lie in
 the semantics domain. The enumeration streams in C order over fixed-width
 column chunks, each evaluated as one batch on the one compiled plan, keeping
 a running minimum and its tie-break, so memory stays bounded by the chunk
-width whatever the grid size. Certification reads the same stream and stops
-at the first chunk that refutes the change. Deliberately unscalable in time;
-the caps on the mutable set and the number of assignments keep the
-enumeration honest.
+width whatever the grid size. A call allocates its batch, the level pass's
+buffers and the index buffers once; each chunk fills the mutable rows in
+place and is evaluated into the same memory. Certification reads the same
+stream and stops at the first chunk that refutes the change. Deliberately
+unscalable in time; the caps on the mutable set and the number of
+assignments keep the enumeration honest.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .explanation import ExplanationQuery, OrderingRule, StrengthChange, amount_of_change
-from .semantics import check_scores_in_domain, compile_graph
+from .semantics import PassBuffers, check_scores_in_domain, compile_graph
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,19 @@ class OracleResult:
     points: int  # grid assignments evaluated
 
 
-# Columns per oracle batch. At this width a chunk's base scores, strengths and
-# per-block temporaries stay a few MB for graphs of tens of arguments, well
-# inside a last-level cache, and per-chunk overhead is small against the work.
+# Columns per oracle batch: as many as keep one n x width float array at
+# _CHUNK_CELLS entries (320 KB), at most _CHUNK, so that a chunk's batch,
+# strengths and block buffers stay inside a 2 MB per-core L2 cache: 4,096
+# columns at 10 arguments. Full 33^4 streams at 10 arguments, widths
+# interleaved, median of 12 on a 2-vCPU Xeon (2 MB L2 per core) in a slow
+# phase: 2,048 columns 200 ms, 4,096 168 ms, 8,192 158 ms, 32,768 201 ms.
+# Narrower chunks lose to per-chunk overhead, wider ones to cache misses.
+_CHUNK_CELLS = 40_960
 _CHUNK = 32_768
+
+
+def _chunk_width(n: int, total: int) -> int:
+    return max(1, min(_CHUNK, total, _CHUNK_CELLS // max(n, 1)))
 
 
 def _grid_values(grid: GridSpec, domain) -> np.ndarray:
@@ -75,10 +86,11 @@ def _grid_values(grid: GridSpec, domain) -> np.ndarray:
 
 
 def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iterator[OracleResult]:
-    """Stream the grid in C order, `_CHUNK` columns at a time; after each
-    chunk, yield the best assignment among those evaluated so far
+    """Stream the grid in C order, `_chunk_width` columns at a time; after
+    each chunk, yield the best assignment among those evaluated so far
     (`exhaustive` once the grid is done). A chunk's winners at the running
-    minimum join the tie-break, so the answer is the whole grid's."""
+    minimum join the tie-break, so the answer is the whole grid's. The
+    buffers belong to this call; a short last chunk views a prefix of them."""
     g = query.graph
     spec = query.semantics
     m_ids = sorted(query.mutable)
@@ -100,26 +112,35 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iter
         raise BudgetError(f"{total} grid assignments exceed the cap of {grid.max_points}")
 
     rows = [plan.index[a] for a in m_ids]
-    tau_m = np.array([g.base_scores[a] for a in m_ids])
+    tau_m = [g.base_scores[a] for a in m_ids]
     best_norm, best_entries = float("inf"), None
-    batch = np.empty((plan.n, 0))
-    for start in range(0, total, _CHUNK):
-        width = min(_CHUNK, total - start)
-        if batch.shape[1] != width:
-            batch = np.repeat(plan.tau[:, None], width, axis=1)
-        if rows:
-            picks = np.unravel_index(np.arange(start, start + width), shape)
-            for row, vals, pick in zip(rows, candidates, picks):
-                batch[row] = vals[pick]
-        sigma, undefined = rule.evaluate(plan, spec, batch)
+    chunk = _chunk_width(plan.n, total)
+    buffers, memory = PassBuffers(plan, chunk), np.empty(plan.n * chunk)
+    offsets, (index, digit), (norms, terms) = np.arange(chunk), np.empty((2, chunk), np.intp), np.empty((2, chunk))
+    width = 0
+    for start in range(0, total, chunk):
+        if width != min(chunk, total - start):  # the first chunk, and a short last one
+            width = min(chunk, total - start)
+            batch = memory[: plan.n * width].reshape(plan.n, width)
+            batch[...] = plan.tau[:, None]
+            narrow = buffers if width == chunk else buffers.narrowed(width)
+            pos, dig, norm, term = index[:width], digit[:width], norms[:width], terms[:width]
+        np.add(offsets[:width], start, out=pos)
+        for row, vals, size in zip(rows[::-1], candidates[::-1], shape[::-1]):  # C order: last axis fastest
+            np.divmod(pos, size, out=(pos, dig))
+            np.take(vals, dig, out=batch[row], mode="clip")
+        sigma, undefined = rule.evaluate(plan, spec, batch, narrow)
         ok = rule.holds(sigma, mode) & ~undefined.any(axis=0)
         if ok.any():
-            norms = np.where(ok, np.abs(batch[rows] - tau_m[:, None]).sum(axis=0), np.inf)
-            chunk_norm = float(norms.min())
+            norm.fill(0.0)  # the change amount: |batch[row] - tau| summed over the mutable rows in order
+            for row, tau_a in zip(rows, tau_m):
+                np.add(norm, np.abs(np.subtract(batch[row], tau_a, out=term), out=term), out=norm)
+            np.copyto(norm, np.inf, where=~ok)
+            chunk_norm = float(norm.min())
             if chunk_norm <= best_norm:
                 chunk_entries = min(
                     [(a, float(batch[row, col])) for a, row in zip(m_ids, rows) if batch[row, col] != g.base_scores[a]]
-                    for col in np.flatnonzero(norms == chunk_norm)
+                    for col in np.flatnonzero(norm == chunk_norm)
                 )
                 if chunk_norm < best_norm or chunk_entries < best_entries:
                     best_norm, best_entries = chunk_norm, chunk_entries

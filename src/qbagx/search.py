@@ -8,13 +8,15 @@ clamped to the strength domain. Success means the cost dropped to the
 configured tolerance; the winning assignment is re-verified with a fresh
 width-1 evaluation on the same plan before it is returned.
 
-A search allocates one workspace: the finite-difference batch and its
-strengths buffer, refilled in place on every iteration. On acyclic plans
-the batch goes straight through the level pass into that buffer, without
-evaluate_matrix's checks and defined mask; cyclic plans, and the width-1
-acceptance checks, go through OrderingRule.strengths, which raises only when
-a topic's strength is undefined. The arithmetic is that of a fresh batch per
-iteration, so trajectories are the same bit for bit.
+A search allocates one workspace: the finite-difference batch and the
+level pass's buffers at its width (semantics.PassBuffers), refilled in
+place on every iteration, as are Adam's moment estimates. On acyclic plans
+the batch goes straight through the level pass, without evaluate_matrix's
+checks and defined mask; cyclic plans, with the same buffers, and the
+width-1 acceptance checks go through OrderingRule.strengths, which raises
+only when a topic's strength is undefined. The arithmetic is that of a
+fresh batch and a fresh Adam state per iteration (adam_step), so
+trajectories are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import UndefinedStrengthError
 from .explanation import DesiredOrdering, ExplanationQuery, OrderingRule, StrengthChange
-from .semantics import GraphPlan, SemanticsSpec, check_scores_in_domain, compile_graph, level_pass
+from .semantics import GraphPlan, PassBuffers, SemanticsSpec, check_scores_in_domain, compile_graph, level_pass
 
 
 @dataclass(frozen=True)
@@ -144,12 +146,12 @@ def relu_cost(strengths: Mapping[str, float], ordering: DesiredOrdering) -> floa
 class _Workspace:
     """The buffers one search reuses on every iteration: the finite-difference
     batch (theta in column 0, theta with mutable score j perturbed in column
-    j + 1) and its strengths."""
+    j + 1) and the level pass's buffers at its width, strengths included."""
 
     def __init__(self, plan: GraphPlan, spec: SemanticsSpec, rule: OrderingRule, m_idx: np.ndarray, eps: float):
         self.plan, self.spec, self.rule, self.m_idx, self.eps = plan, spec, rule, m_idx, eps
         self.batch = np.empty((plan.n, len(m_idx) + 1))
-        self.sigma = np.empty_like(self.batch)
+        self.buffers = PassBuffers(plan, len(m_idx) + 1)
         self.cols = np.arange(1, len(m_idx) + 1)
         self.upper = spec.domain.upper  # inf on an unbounded domain: every step is forward
 
@@ -173,8 +175,9 @@ class _Workspace:
         self.dirs = np.where(base + self.eps > self.upper, -1.0, 1.0)
         batch[self.m_idx, self.cols] = base + self.dirs * self.eps
         if self.plan.acyclic:
-            return level_pass(self.plan, self.spec, batch, self.sigma, self.sigma)
-        return self.rule.strengths(self.plan, self.spec, batch)
+            sigma = self.buffers.sigma
+            return level_pass(self.plan, self.spec, batch, sigma, sigma, self.buffers)
+        return self.rule.strengths(self.plan, self.spec, batch, self.buffers)
 
     def costs(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost at theta plus finite-difference gradients for every mutable
@@ -242,7 +245,9 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[AdamState, np.ndarray]:
-    """One Adam update; returns the new state and the additive parameter step."""
+    """One Adam update; returns the new state and the additive parameter
+    step. The search updates its own moment buffers in place with the same
+    arithmetic (_Adam); this is its reference."""
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * gradients
     v = beta2 * state.v + (1.0 - beta2) * gradients**2
@@ -250,6 +255,27 @@ def adam_step(
     v_hat = v / (1.0 - beta2**t)
     step = -alpha * m_hat / (np.sqrt(v_hat) + eps)
     return AdamState(m, v, t), step
+
+
+class _Adam:
+    """Adam's state for one search run, updated in place: each step is
+    adam_step's arithmetic, operand for operand, in buffers the run owns."""
+
+    def __init__(self, size: int, cfg: SearchConfig):
+        self.m, self.v, self.t = np.zeros(size), np.zeros(size), 0
+        self.scratch, self.out = np.empty(size), np.empty(size)
+        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
+
+    def step(self, gradients: np.ndarray, alpha: float) -> np.ndarray:
+        """The additive parameter step, valid until the next call."""
+        m, v, scratch, out = self.m, self.v, self.scratch, self.out
+        self.t += 1
+        np.add(np.multiply(self.beta1, m, out=m), np.multiply(1.0 - self.beta1, gradients, out=scratch), out=m)
+        squared = np.multiply(1.0 - self.beta2, np.square(gradients, out=scratch), out=scratch)  # gradients**2
+        np.add(np.multiply(self.beta2, v, out=v), squared, out=v)
+        m_hat = np.divide(m, 1.0 - self.beta1**self.t, out=scratch)
+        root = np.add(np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=out), out=out), self.eps, out=out)
+        return np.divide(np.multiply(-alpha, m_hat, out=scratch), root, out=out)
 
 
 def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -281,7 +307,7 @@ def _adam_search(workspace: _Workspace, cfg: SearchConfig, trajectory: list[floa
             rng = np.random.default_rng(cfg.rng_seed + restart)
             jitter = rng.uniform(-cfg.restart_jitter, cfg.restart_jitter, size=len(m_idx))
             theta[m_idx] = spec.domain.clamp(plan.tau[m_idx] + jitter)
-        adam = AdamState(np.zeros(len(m_idx)), np.zeros(len(m_idx)))
+        adam = _Adam(len(m_idx), cfg)
         alpha = cfg.alpha
         for _ in range(cfg.max_iterations):
             total_iterations += 1
@@ -294,8 +320,7 @@ def _adam_search(workspace: _Workspace, cfg: SearchConfig, trajectory: list[floa
                     return workspace.outcome(True, theta, total_iterations, cost, trajectory)
                 if not np.any(grads):
                     break  # flat spot that fails the exact check: restart
-            adam, step = adam_step(adam, grads, alpha, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            theta[m_idx] = spec.domain.clamp(theta[m_idx] + step)
+            theta[m_idx] = spec.domain.clamp(theta[m_idx] + adam.step(grads, alpha))
             alpha *= cfg.alpha_decay
         cost_end, _ = workspace.check(theta, cfg)
         if cost_end < best_cost:

@@ -25,6 +25,12 @@ of base scores to a plan. Acyclic graphs are evaluated by a single forward
 pass over topological levels (exact); cyclic graphs by synchronous
 fixed-point iteration from the base scores, with non-convergent arguments
 reported as undefined. Both run the same pass over plan blocks.
+
+Code that runs passes over and over (a fixed-point iteration, a search, an
+oracle stream) hands the pass a PassBuffers of its own, and the pass writes
+every intermediate there; a pass that runs once allocates as it goes. The
+buffers belong to whoever made them, never to the topology, which graphs
+share.
 """
 
 from __future__ import annotations
@@ -166,29 +172,51 @@ def aggregate(kind: str, attacker_strengths: Iterable[float], supporter_strength
     raise ValueError(f"unknown aggregation: {kind!r}")
 
 
-def _apply_influence(inf: Influence, w, s):
-    """Influence formulas, vectorized over numpy arrays (or floats)."""
+def _apply_influence(inf: Influence, w, s, out=None, work=(None, None, None, None)):
+    """Influence formulas, vectorized over numpy arrays. work = (t1, t2, t3,
+    mask): with buffers there, every intermediate goes to them and the result
+    to `out`; t3 may be s itself, which is read before t3 is written. With
+    None there, each step allocates as numpy's operators do. The operations
+    are the same either way, and so are the values. Outputs go in the
+    ufuncs' positional out slot, which numpy parses faster than out= (numpy
+    deprecates that slot for np.maximum and np.minimum only)."""
+    t1, t2, t3, mask = work
     if inf.kind == "linear":
+        drop = np.maximum(0.0, np.negative(s, t1), out=t1)
         # dividing by 1.0 is exact, so DF-QuAD's k = 1 skips both divisions
-        w_k, rest_k = (w, 1.0 - w) if inf.k == 1.0 else (w / inf.k, (1.0 - w) / inf.k)
-        return w - w_k * np.maximum(0.0, -s) + rest_k * np.maximum(0.0, s)
+        if inf.k == 1.0:
+            drop = np.multiply(w, drop, t1)
+            rest = np.subtract(1.0, w, t2)
+        else:
+            drop = np.multiply(np.divide(w, inf.k, t2), drop, t1)
+            rest = np.divide(np.subtract(1.0, w, t2), inf.k, t2)
+        kept = np.subtract(w, drop, t1)
+        gain = np.multiply(rest, np.maximum(0.0, s, out=t3), t2)
+        return np.add(kept, gain, out)
     if inf.kind == "euler_based":
-        return 1.0 - (1.0 - w * w) / (1.0 + w * np.exp(s))
+        num = np.subtract(1.0, np.multiply(w, w, t1), t1)
+        den = np.add(1.0, np.multiply(w, np.exp(s, t3), t3), t3)
+        return np.subtract(1.0, np.divide(num, den, t1), out)
     if inf.kind == "p_max":
         # h(s/k) and h(-s/k) share |s/k|, and one of the two is 0, so its
         # term adds or subtracts an exact zero: one h and one np.where give
         # the two-term formula of the module docstring bit for bit. Capping
         # |s/k|^p at the largest float gives h its limit 1.0 where the power
         # overflows (inf / inf would be NaN) and leaves finite values as they are.
-        hs = np.minimum(np.abs(s / inf.k) ** inf.p, _FLOAT_MAX)
-        h = hs / (1.0 + hs)
-        return np.where(s > 0.0, w + (1.0 - w) * h, w - w * h)
+        hs = np.abs(np.divide(s, inf.k, t1), t1)
+        hs **= inf.p  # in place, dispatched as ** is (np.square for p = 2)
+        hs = np.minimum(hs, _FLOAT_MAX, out=t1)
+        h = np.divide(hs, np.add(1.0, hs, t2), t1)
+        up = np.add(w, np.multiply(np.subtract(1.0, w, t2), h, t2), t2)
+        result = np.subtract(w, np.multiply(w, h, t1), out)
+        np.copyto(result, up, where=np.greater(s, 0.0, mask))
+        return result
     # additive
-    return w + s
+    return np.add(w, s, out)
 
 
 def influence_value(inf: Influence, w: float, s: float) -> float:
-    return float(_apply_influence(inf, float(w), float(s)))
+    return float(_apply_influence(inf, np.array([w], dtype=float), np.array([s], dtype=float))[0])
 
 
 class GraphPlan:
@@ -207,56 +235,138 @@ def compile_graph(g: QBAG) -> GraphPlan:
     return GraphPlan(g)
 
 
+def _count(index) -> int:
+    return index.stop - index.start if isinstance(index, slice) else len(index)
+
+
+class PassBuffers:
+    """Scratch memory for level passes over one plan at one batch width:
+    `sigma`, plus `other` and `delta` for fixed-point sweeps (n x width
+    each), and per block, in plan.blocks order, views for the gathered parent
+    strengths, the gathered base scores (None where the rows are a slice,
+    whose base scores are read in place) and the aggregate and influence
+    intermediates (t1, t2, aggregate, mask).
+
+    A fixed-point iteration, a search workspace or an oracle call makes its
+    own and passes it to every pass it runs. Buffers are never shared beyond
+    that owner: graphs built on the same edge sets share one graph.Topology,
+    so buffers kept there or in a module global would be overwritten by one
+    evaluation while another still reads them. The memory is two flat
+    arrays, allocated once; `narrowed` views a prefix of them at a smaller
+    width (every view stays contiguous), so a stream's short last chunk
+    allocates nothing.
+    """
+
+    def __init__(self, plan: GraphPlan, width: int, memory: tuple | None = None):
+        n = plan.n
+        row_counts = [_count(block[0]) for block in plan.blocks]
+        col_counts = [_count(block[1]) for block in plan.blocks]
+        if memory is None:
+            rows, cols = max(row_counts, default=0), max(col_counts, default=0)
+            memory = (np.empty((3 * n + cols + 4 * rows) * width), np.empty(rows * width, dtype=bool), rows, cols)
+        floats, flags, rows, cols = memory
+        self.plan, self.width, self.memory = plan, width, memory
+        lines = floats[: (3 * n + cols + 4 * rows) * width].reshape(3 * n + cols + 4 * rows, width)
+        self.sigma, self.other, self.delta = lines[:n], lines[n : 2 * n], lines[2 * n : 3 * n]
+        parents = lines[3 * n : 3 * n + cols]
+        tau_rows, t1, t2, agg = (lines[3 * n + cols + k * rows :][:rows] for k in range(4))
+        mask = flags[: rows * width].reshape(rows, width)
+        work = {nr: (t1[:nr], t2[:nr], agg[:nr], mask[:nr]) for nr in set(row_counts)}  # blocks run in turn
+        self.blocks = tuple(
+            (parents[:nc], None if isinstance(r, slice) else tau_rows[:nr], work[nr])
+            for (r, *_), nr, nc in zip(plan.blocks, row_counts, col_counts)
+        )
+
+    def narrowed(self, width: int) -> "PassBuffers":
+        """The same memory viewed at a smaller batch width."""
+        return PassBuffers(self.plan, width, self.memory)
+
+
+# The per-block "views" of a pass without buffers: every step allocates.
+_ALLOCATE = (None, None, (None, None, None, None))
+
+
 def _masked_product(mask, factors):
     """prod over the entries of `factors` where the 0/1 `mask` is 1, batched:
     (rows, cols) x (cols, B)."""
     return np.where(mask[:, :, None] > 0.0, factors[None, :, :], 1.0).prod(axis=1)
 
 
-def _parentless(inf: Influence, w):
+def _parentless(inf: Influence, w, out, t1, t2):
     """influence(w, 0) bit for bit without evaluating the aggregate: the
     zero-aggregate terms of linear, p_max and additive add +0.0 to w, and
     under euler_based exp(0) is exactly 1."""
     if inf.kind == "euler_based":
-        return 1.0 - (1.0 - w * w) / (1.0 + w)
-    return w + 0.0
+        num = np.subtract(1.0, np.multiply(w, w, t1), t1)
+        return np.subtract(1.0, np.divide(num, np.add(1.0, w, t2), t1), out)
+    return np.add(w, 0.0, out)
 
 
-def level_pass(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+def level_pass(
+    plan: GraphPlan,
+    spec: SemanticsSpec,
+    tau: np.ndarray,
+    src: np.ndarray,
+    out: np.ndarray,
+    buffers: PassBuffers | None = None,
+) -> np.ndarray:
     """Evaluate every block in order: out[rows] = influence(tau[rows],
     aggregate(src[cols])). With out is src this is the exact forward pass over
-    topological levels; with a fresh out it is one synchronous sweep. No
-    checks: tau, src and out have shape (n_arguments, batch)."""
-    for rows, cols, w, att, supp in plan.blocks:
+    topological levels; with another out it is one synchronous sweep. No
+    checks: tau, src and out have shape (n_arguments, batch).
+
+    With `buffers` (made for this plan at this batch width) every
+    intermediate goes into them and the pass allocates nothing; without,
+    each step allocates, which is cheaper for a pass that runs once. Each
+    ufunc gets the operands, in the order, of the operator expression it
+    stands for, so the strengths are the same bit for bit either way."""
+    inf = spec.influence
+    views = (_ALLOCATE,) * len(plan.blocks) if buffers is None else buffers.blocks
+    for (rows, cols, w, att, supp), (parents, tau_rows, work) in zip(plan.blocks, views):
+        t1, t2, agg, _ = work
+        sliced = isinstance(rows, slice)
+        # take's default mode="raise" fills a temporary before out; the indices are valid
+        base = tau[rows] if sliced else tau.take(rows, axis=0, out=tau_rows, mode="clip")
+        dest = out[rows] if sliced else t1  # gathered rows are scattered below
         if not w.size:  # parentless: the aggregate is 0
-            out[rows] = _parentless(spec.influence, tau[rows])
-            continue
-        if spec.aggregation == "sum":
-            agg = w @ src[cols]
+            result = _parentless(inf, base, dest, t1, t2)
         else:
-            factors = 1.0 - src[cols]
-            low = np.minimum.reduce(factors, axis=None)
-            if low >= 0.0:  # the floor only moves factors below it
-                logs = np.log(factors if low >= _LOG_FLOOR else np.maximum(factors, _LOG_FLOOR))
-                agg = np.exp(att @ logs) - np.exp(supp @ logs)
-            else:  # negative factors (out-of-domain strengths): exact masked products
-                agg = _masked_product(att, factors) - _masked_product(supp, factors)
-        out[rows] = _apply_influence(spec.influence, tau[rows], agg)
+            gathered = src[cols] if isinstance(cols, slice) else src.take(cols, axis=0, out=parents, mode="clip")
+            if spec.aggregation == "sum":
+                agg = np.matmul(w, gathered, agg)
+            else:
+                factors = np.subtract(1.0, gathered, parents)
+                low = np.minimum.reduce(factors, axis=None)
+                if low >= 0.0:  # the floor only moves factors below it
+                    if low < _LOG_FLOOR:
+                        np.maximum(factors, _LOG_FLOOR, out=factors)
+                    logs = np.log(factors, factors)
+                    gain = np.exp(np.matmul(supp, logs, t2), t2)
+                    agg = np.subtract(np.exp(np.matmul(att, logs, agg), agg), gain, agg)
+                else:  # negative factors (out-of-domain strengths): exact masked products
+                    agg = np.subtract(_masked_product(att, factors), _masked_product(supp, factors), agg)
+            result = _apply_influence(inf, base, agg, dest, work)
+        if not sliced:
+            out[rows] = result
     return out
 
 
-def _fixed_point(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Synchronous (Jacobi) iteration from tau. Returns (sigma, defined mask).
+def _fixed_point(
+    plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, buffers: PassBuffers
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synchronous (Jacobi) iteration from tau, sweeping between the buffers
+    sigma and other. Returns (sigma, defined mask); sigma is one of the two.
 
     On non-convergence, every argument that is still moving, plus everything
     reachable from one, is marked undefined; stabilized parts keep their values.
     """
-    current = tau.copy()
-    delta = np.zeros(tau.shape)
+    current, nxt, delta = buffers.sigma, buffers.other, buffers.delta
+    np.copyto(current, tau)
+    delta.fill(0.0)
     for _ in range(spec.max_sweeps):
-        nxt = level_pass(plan, spec, tau, current, np.empty_like(current))
-        delta = np.abs(nxt - current)
-        current = nxt
+        level_pass(plan, spec, tau, current, nxt, buffers)
+        np.abs(np.subtract(nxt, current, delta), delta)
+        current, nxt = nxt, current
         if delta.max(initial=0.0) < spec.epsilon:
             return current, np.ones(tau.shape, dtype=bool)
     return current, ~_tainted(plan, delta >= spec.epsilon)
@@ -276,12 +386,16 @@ def _tainted(plan: GraphPlan, unstable: np.ndarray) -> np.ndarray:
 
 
 def evaluate_matrix(
-    plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, method: str = "auto"
+    plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, method: str = "auto", buffers: PassBuffers | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a batch of base-score columns; returns (sigma, defined).
 
     method: "auto" picks the forward pass for acyclic graphs, "iterative"
     forces fixed-point iteration (used to cross-check the two evaluators).
+    buffers: the caller's PassBuffers for this plan at the batch width; sigma
+    is then one of its buffers, overwritten by the next evaluation that uses
+    them. Without, the forward pass allocates as it goes and a fixed-point
+    iteration makes its own.
 
     A column's strengths depend on the batch width only through rounding
     and, on cyclic plans, through the stopping sweep. On acyclic plans they
@@ -292,14 +406,14 @@ def evaluate_matrix(
     """
     if tau.ndim != 2 or tau.shape[0] != plan.n:
         raise ValueError("tau must have shape (n_arguments, batch)")
-    if not plan.acyclic:
-        if spec.acyclic_only:
-            raise CyclicGraphError(f"semantics {spec.name!r} is defined for acyclic graphs only")
-        return _fixed_point(plan, spec, tau)
-    if method == "iterative":
-        return _fixed_point(plan, spec, tau)
-    sigma = np.empty_like(tau)
-    return level_pass(plan, spec, tau, sigma, sigma), np.ones(tau.shape, dtype=bool)
+    if buffers is not None and (buffers.plan is not plan or buffers.width != tau.shape[1]):
+        raise ValueError("buffers were made for another plan or batch width")
+    if not plan.acyclic and spec.acyclic_only:
+        raise CyclicGraphError(f"semantics {spec.name!r} is defined for acyclic graphs only")
+    if not plan.acyclic or method == "iterative":
+        return _fixed_point(plan, spec, tau, PassBuffers(plan, tau.shape[1]) if buffers is None else buffers)
+    sigma = np.empty_like(tau) if buffers is None else buffers.sigma
+    return level_pass(plan, spec, tau, sigma, sigma, buffers), np.ones(tau.shape, dtype=bool)
 
 
 def check_scores_in_domain(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> None:
@@ -320,10 +434,8 @@ def final_strengths(g: QBAG, spec: SemanticsSpec, method: str = "auto") -> dict[
     tau = plan.tau.reshape(-1, 1)
     check_scores_in_domain(plan, spec, tau)
     sigma, defined = evaluate_matrix(plan, spec, tau, method=method)
-    return {
-        a: (float(sigma[i, 0]) if defined[i, 0] else None)
-        for i, a in enumerate(plan.ids)
-    }
+    # tolist() gives the same Python floats as float() of each entry, at a fraction of the cost
+    return {a: (v if ok else None) for a, v, ok in zip(plan.ids, sigma[:, 0].tolist(), defined[:, 0].tolist())}
 
 
 def _strengths_or_raise(g: QBAG, spec: SemanticsSpec) -> dict[str, float]:

@@ -11,7 +11,7 @@ from qbagx.errors import UndefinedStrengthError
 from qbagx.explanation import OrderingRule
 from qbagx.oracle import _grid_values
 from qbagx.search import AdamState, SearchConfig, SearchOutcome, adam_step
-from qbagx.semantics import check_scores_in_domain, compile_graph, evaluate_matrix
+from qbagx.semantics import _FLOAT_MAX, _LOG_FLOOR, check_scores_in_domain, compile_graph, evaluate_matrix
 
 FIG_EDGES = {
     "attacks": [("a", "b"), ("d", "e")],
@@ -121,6 +121,65 @@ def brute_force_reference(query: q.ExplanationQuery, grid: q.GridSpec, mode: str
 
     best_entries = min(entries_of(int(c)) for c in winners)
     return q.StrengthChange(dict(best_entries)), float(best_norm), winners
+
+
+def _influence_reference(inf: q.Influence, w, s):
+    """The influence formulas as numpy operator expressions, each step a
+    fresh array."""
+    if inf.kind == "linear":
+        w_k, rest_k = (w, 1.0 - w) if inf.k == 1.0 else (w / inf.k, (1.0 - w) / inf.k)
+        return w - w_k * np.maximum(0.0, -s) + rest_k * np.maximum(0.0, s)
+    if inf.kind == "euler_based":
+        return 1.0 - (1.0 - w * w) / (1.0 + w * np.exp(s))
+    if inf.kind == "p_max":
+        hs = np.minimum(np.abs(s / inf.k) ** inf.p, _FLOAT_MAX)
+        h = hs / (1.0 + hs)
+        return np.where(s > 0.0, w + (1.0 - w) * h, w - w * h)
+    return w + s
+
+
+def _masked_product_reference(mask, factors):
+    return np.where(mask[:, :, None] > 0.0, factors[None, :, :], 1.0).prod(axis=1)
+
+
+def level_pass_reference(plan, spec, tau, src, out):
+    """Reference for semantics.level_pass: the allocating body, every
+    intermediate a fresh array from an operator expression."""
+    for rows, cols, w, att, supp in plan.blocks:
+        if not w.size:
+            base = tau[rows]
+            if spec.influence.kind == "euler_based":
+                out[rows] = 1.0 - (1.0 - base * base) / (1.0 + base)
+            else:
+                out[rows] = base + 0.0
+            continue
+        if spec.aggregation == "sum":
+            agg = w @ src[cols]
+        else:
+            factors = 1.0 - src[cols]
+            low = np.minimum.reduce(factors, axis=None)
+            if low >= 0.0:
+                logs = np.log(factors if low >= _LOG_FLOOR else np.maximum(factors, _LOG_FLOOR))
+                agg = np.exp(att @ logs) - np.exp(supp @ logs)
+            else:
+                agg = _masked_product_reference(att, factors) - _masked_product_reference(supp, factors)
+        out[rows] = _influence_reference(spec.influence, tau[rows], agg)
+    return out
+
+
+def fixed_point_reference(plan, spec, tau):
+    """Reference for the fixed-point sweeps: a fresh output array per sweep.
+    Returns (sigma, sweeps, unstable): unstable marks the entries whose last
+    change was at least epsilon, all False when the iteration settled."""
+    current = tau.copy()
+    delta = np.zeros(tau.shape)
+    for sweep in range(1, spec.max_sweeps + 1):
+        nxt = level_pass_reference(plan, spec, tau, current, np.empty_like(current))
+        delta = np.abs(nxt - current)
+        current = nxt
+        if delta.max(initial=0.0) < spec.epsilon:
+            return current, sweep, np.zeros(tau.shape, dtype=bool)
+    return current, spec.max_sweeps, delta >= spec.epsilon
 
 
 def batched_costs_reference(plan, spec, rule, theta, m_idx, eps):

@@ -1,6 +1,11 @@
+import ast
 import csv
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import kendalltau, spearmanr
 
 import qbagx as q
 
@@ -29,6 +34,48 @@ def test_spearman_equal_reverse_and_swap():
     assert q.spearman_rho(target, strengths_for(["c", "b", "a"])) == pytest.approx(-1.0)
     # rank differences (0, 1, -1): rho = 1 - 6*2/(3*8)
     assert q.spearman_rho(target, strengths_for(["a", "c", "b"])) == pytest.approx(0.5)
+
+
+def _scipy_reference(ordering, strengths):
+    """scipy's tau-b and Spearman rho over the sorted topics, NaN read as 0."""
+    rank = ordering.tier_of()
+    topics = sorted(rank)
+    target, achieved = [rank[x] for x in topics], [strengths[x] for x in topics]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant inputs
+        values = float(kendalltau(target, achieved).statistic), float(spearmanr(target, achieved).statistic)
+    return tuple(0.0 if v != v else v for v in values)
+
+
+def test_rank_correlations_equal_scipy_bit_for_bit():
+    """Random tiers against random strengths, strengths with many ties
+    (quarters, one decimal) and constant strengths; single-tier orderings
+    make the target side constant."""
+    rng = np.random.default_rng(0)
+    seen = set()
+    for trial in range(3000):
+        k = int(rng.integers(2, 12))
+        tiers = [[] for _ in range(int(rng.integers(1, k + 1)))]
+        for i in range(k):
+            tiers[i if i < len(tiers) else int(rng.integers(len(tiers)))].append(f"t{i}")
+        ordering = q.ordering_from_tiers(tiers)
+        draw = (rng.random(k), rng.integers(0, 3, k) / 4, np.full(k, 0.3), np.round(rng.random(k), 1))[trial % 4]
+        strengths = {f"t{i}": float(v) for i, v in enumerate(draw)}
+        got = q.kendall_tau(ordering, strengths), q.spearman_rho(ordering, strengths)
+        assert got == _scipy_reference(ordering, strengths), (tiers, strengths)
+        assert all(type(v) is float for v in got)
+        seen.update(("zero" if v == 0.0 else "one" if abs(v) == 1.0 else "between") for v in got)
+    assert seen == {"zero", "one", "between"}
+
+
+def test_the_package_does_not_import_scipy():
+    src = Path(q.__file__).parent
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
 
 
 def test_correlations_need_two_topics():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,8 +231,36 @@ def test_oracle_batches_stay_within_one_chunk(monkeypatch):
 
     monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
     grid = q.GridSpec(step=0.125, lower=0.0, upper=4.0)  # 33 values, each base score among them
-    result = q.brute_force_search(fig_query(mutable=("a", "d", "e")), grid)
+    query = fig_query(mutable=("a", "d", "e"))
+    result = q.brute_force_search(query, grid)
     assert result.points == 33 ** 3 > qbagx.oracle._CHUNK
     assert len(widths) > 1
     assert max(widths) <= qbagx.oracle._CHUNK
     assert sum(widths) == result.points
+    # every chunk but the last is as wide as keeps one n x width array at _CHUNK_CELLS
+    n = len(query.graph.arguments)
+    width = qbagx.oracle._chunk_width(n, result.points)
+    assert width == qbagx.oracle._CHUNK_CELLS // n
+    assert widths[:-1] == [width] * (len(widths) - 1) and 0 < widths[-1] <= width
+
+
+def test_oracle_chunks_after_the_first_allocate_less_than_one_batch():
+    """The stream allocates its batch and buffers for the first chunk; each
+    later chunk, the short last one included, allocates less than one
+    n x width float array (tracemalloc sees numpy's data allocations)."""
+    inst = q.generate(q.GenSpec(q.structure((4, 4, 2)), "random", 41))
+    query = q.ExplanationQuery(inst.graph, q.DFQUAD, frozenset(inst.layers[0]), inst.ordering)
+    stream = qbagx.oracle._running_minimum(query, q.GridSpec(step=0.1), "weak")  # 12^4 assignments
+    tracemalloc.start()
+    try:
+        first = next(stream)
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        rest = list(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n, width = len(query.graph.arguments), first.points
+    assert first.best is not None and rest[-1].exhaustive and rest[-1].points == 12 ** 4
+    assert len(rest) >= 5 and rest[-1].points - rest[-2].points < width  # a short last chunk
+    assert peak - before < n * width * 8

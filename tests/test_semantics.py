@@ -11,12 +11,14 @@ import qbagx as q
 from qbagx import graph, semantics
 from qbagx.errors import CyclicGraphError, DomainError, GraphFormatError
 from qbagx.graph import reachable_from
-from qbagx.semantics import Influence, compile_graph, evaluate_matrix
+from qbagx.semantics import Influence, PassBuffers, compile_graph, evaluate_matrix, level_pass
 
 from helpers import (
     FIG_CASES,
     assert_same_blocks,
     fig_graph,
+    fixed_point_reference,
+    level_pass_reference,
     plan_blocks_reference,
     plan_reference_cases,
     random_dag,
@@ -548,3 +550,93 @@ def test_product_aggregation_floors_only_factors_below_the_floor():
         logs = np.log(np.maximum(1.0 - tau[:3], semantics._LOG_FLOOR))
         agg = np.exp(logs[0] + logs[1]) - np.exp(logs[2])
         assert np.array_equal(sigma[3], semantics._apply_influence(q.DFQUAD.influence, 0.5, agg)), cols
+
+
+# Built-ins plus linear with k = 1 and k != 1 and p_max with p = 2 and p = 3,
+# under both aggregations.
+PASS_SPECS = (
+    q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY, q.NAIVE,
+    q.SemanticsSpec("sum", Influence("linear", k=1.0)),
+    q.SemanticsSpec("sum", Influence("linear", k=0.7)),
+    q.SemanticsSpec("product", Influence("linear", k=2.0)),
+    q.SemanticsSpec("sum", Influence("p_max", k=1.0, p=3)),
+    q.SemanticsSpec("product", Influence("p_max", k=0.5, p=2)),
+    q.SemanticsSpec("product", Influence("euler_based")),
+)
+PASS_WIDTHS = (1, 7, 105, 4096)
+
+
+def _pass_inputs(rng, plan, spec, width, out_of_domain=False):
+    """Base scores with one entry in five set to 0.0, -0.0 or 1.0; over the
+    reals for naive, and partly in [1, 1.5] for out_of_domain, where a
+    product aggregation's factors turn negative."""
+    tau = rng.random((plan.n, width))
+    if not spec.domain.bounded:
+        tau = 4.0 * tau - 2.0
+    if out_of_domain:
+        tau[rng.random(tau.shape) < 0.1] += 0.5
+    special = rng.random(tau.shape) < 0.2
+    tau[special] = rng.choice([0.0, -0.0, 1.0], int(special.sum()))
+    return tau
+
+
+def _assert_same_bits(got, want, context):
+    assert np.array_equal(got, want, equal_nan=True), context
+    assert np.array_equal(np.signbit(got), np.signbit(want)), context
+
+
+def test_level_pass_matches_the_allocating_reference_bit_for_bit():
+    """The forward pass with buffers, narrowed buffers and without buffers
+    equals the allocating reference in value and sign bit, on graphs whose
+    blocks are slices or index arrays, under every influence form."""
+    rng = np.random.default_rng(0)
+    graphs = [g for g in plan_reference_cases() if compile_graph(g).acyclic]
+    passes = masked = 0
+    for g in graphs[::4] + graphs[-6:]:
+        plan = compile_graph(g)
+        for spec in PASS_SPECS:
+            for width in PASS_WIDTHS:
+                out_of_domain = spec.aggregation == "product" and width % 2 == 1
+                tau = _pass_inputs(rng, plan, spec, width, out_of_domain)
+                want = np.empty_like(tau)
+                level_pass_reference(plan, spec, tau, want, want)
+                wide = PassBuffers(plan, width + 3)
+                for buffers in (PassBuffers(plan, width), wide.narrowed(width), None):
+                    sigma = np.empty_like(tau) if buffers is None else buffers.sigma
+                    got = level_pass(plan, spec, tau, sigma, sigma, buffers)
+                    _assert_same_bits(got, want, (g.arguments, spec, width))
+                    passes += 1
+                masked += out_of_domain and bool((tau > 1.0).any())
+    assert passes >= 1200 and masked > 0
+
+
+def test_fixed_point_sweeps_match_the_allocating_reference(monkeypatch):
+    """Cyclic plans: strengths, sweep counts and defined masks equal the
+    reference's, for batches that settle and batches that do not."""
+    sweeps = []
+    real_pass = semantics.level_pass
+
+    def counting(plan, spec, tau, src, out, buffers=None):
+        sweeps.append(buffers)
+        return real_pass(plan, spec, tau, src, out, buffers)
+
+    monkeypatch.setattr(semantics, "level_pass", counting)
+    rng = np.random.default_rng(1)
+    cyclic = [g for g in plan_reference_cases() if not compile_graph(g).acyclic]
+    unsettled = 0
+    for g in cyclic:
+        plan = compile_graph(g)
+        for spec in PASS_SPECS[:3] + PASS_SPECS[4:]:
+            for max_sweeps in (20, 400):
+                spec_n = dataclasses.replace(spec, max_sweeps=max_sweeps)
+                for width in (1, 7, 105):
+                    tau = _pass_inputs(rng, plan, spec_n, width)
+                    sweeps.clear()
+                    with np.errstate(over="ignore", invalid="ignore"):  # linear(0.7) can diverge on a cycle
+                        want, count, unstable = fixed_point_reference(plan, spec_n, tau)
+                        got, defined = evaluate_matrix(plan, spec_n, tau)
+                    _assert_same_bits(got, want, (g.arguments, spec, width))
+                    assert len(sweeps) == count and len({id(b) for b in sweeps}) == 1
+                    assert np.array_equal(defined, ~semantics._tainted(plan, unstable))
+                    unsettled += bool(unstable.any())
+    assert unsettled > 0

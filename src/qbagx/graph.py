@@ -8,6 +8,11 @@ kept sorted by id so iteration order is deterministic.
 A graph builds its Topology (index, depths, evaluation blocks) on first use
 and keeps it. Graphs on the same edge-set objects and arguments share one
 through an index of live topologies keyed by the identity of those objects.
+A graph on those edge sets whose arguments hold the live topology's ids in
+the same order, plus arguments no edge touches (a counterfactual's reference
+argument), derives its own topology from the live one: no edge check, and
+no build unless the live topology is cyclic. Ids in another order build in
+full. The index keeps pointing at the topology the edge sets were built on.
 """
 
 from __future__ import annotations
@@ -63,11 +68,14 @@ class QBAG:
 
     @cached_property
     def topology(self) -> Topology:
-        """Built on first use; shared by graphs on the same edge-set objects and arguments."""
+        """Built on first use; shared by graphs on the same edge-set objects
+        and arguments, and derived from it for more arguments (Topology.extended)."""
         topology = _shared(self.arguments, self.attacks, self.supports)
         if topology is None:
             topology = Topology(self.arguments, self.attacks, self.supports)
-            _SHARED[id(self.attacks), id(self.supports)] = topology
+            _SHARED.setdefault((id(self.attacks), id(self.supports)), topology)
+        elif topology.ids != self.arguments:
+            topology = topology.extended(self.arguments)
         return topology
 
     def __getstate__(self):
@@ -86,8 +94,11 @@ def make_qbag(
     with unknown endpoints, and any edge present in both relations. The
     checks run as bulk passes; only when one fails does a per-item loop name
     the first bad entry. A frozenset of (str, str) tuples is kept as it is,
-    so graphs derived from one another share their edge sets; edge sets that
-    a live topology was built on, for the same ids, are not checked again.
+    so graphs derived from one another share their edge sets. Edge sets that
+    a live topology was built on are not checked again when its ids appear
+    among the new ones in the same order: its build checked every edge
+    against a subset of them. The graph then shares that topology, or,
+    with added arguments, derives its own from it (Topology.extended).
     """
     scores = _checked_scores(base_scores)
     ids = tuple(scores)
@@ -253,6 +264,33 @@ class Topology:
         self.depth = None if (indeg >= 0).any() else depth
         self.blocks = _blocks(src, dst, sign, self.depth, n)
 
+    def extended(self, arguments: tuple[str, ...]) -> Topology:
+        """The topology of `arguments` on the same edges, where `arguments`
+        holds self.ids in the same order plus arguments that no edge
+        touches; equal, part for part, to Topology(arguments, attacks,
+        supports). An acyclic one is derived without a build: the added
+        arguments have depth 0 and join the parentless level-0 block, the
+        other blocks' rows and columns move to the new positions (which keep
+        their order, and so their sorted blocks) and their read-only weights
+        are shared. A cyclic one is built in full."""
+        if self.depth is None:
+            return Topology(arguments, self.attacks, self.supports)
+        index = {a: i for i, a in enumerate(arguments)}
+        n = len(arguments)
+        pos = np.fromiter(map(index.__getitem__, self.ids), dtype=np.intp, count=self.n)
+        depth = np.zeros(n, dtype=np.intp)
+        depth[pos] = self.depth
+        parentless = np.flatnonzero(depth == 0)
+        empty = np.zeros((len(parentless), 0))
+        pos.flags.writeable = empty.flags.writeable = False
+        blocks = [(_positions(parentless), pos[:0], empty, empty, empty)]
+        for rows, cols, *weights in self.blocks[1:]:
+            blocks.append((_positions(pos[rows]), _positions(pos[cols]), *weights))
+        derived = object.__new__(type(self))
+        derived.ids, derived.attacks, derived.supports = tuple(arguments), self.attacks, self.supports
+        derived.index, derived.n, derived.depth, derived.blocks = MappingProxyType(index), n, depth, tuple(blocks)
+        return derived
+
 
 def _blocks(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, depth: np.ndarray | None, n: int) -> tuple:
     """Topology.blocks. A block's rows are its level's members in argument
@@ -290,6 +328,12 @@ def _blocks(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, depth: np.ndarra
     return tuple(blocks)
 
 
+def _positions(ascending: np.ndarray) -> slice | np.ndarray:
+    """_indexer over all of `ascending`, read-only."""
+    ascending.flags.writeable = False
+    return _indexer(ascending, ascending.tolist(), 0, len(ascending))
+
+
 def _indexer(ascending: np.ndarray, listed: list[int], start: int, count: int) -> slice | np.ndarray:
     """ascending[start:start + count], unique indices in ascending order
     (`listed` is the same as a list), as a slice when they form one
@@ -307,10 +351,13 @@ _SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _shared(arguments: tuple[str, ...], attacks, supports) -> Topology | None:
-    """The live topology built on these edge-set objects, if it was built
-    for the same argument tuple."""
+    """The live topology built on these edge-set objects, if its ids are
+    `arguments` or appear among them in the same order."""
     topology = _SHARED.get((id(attacks), id(supports)))
-    return topology if topology is not None and topology.ids == arguments else None
+    if topology is None or topology.ids == arguments:
+        return topology
+    rest = iter(arguments)  # `in` consumes it: each id must come after the previous one
+    return topology if len(topology.ids) < len(arguments) and all(a in rest for a in topology.ids) else None
 
 
 _ARG_KEYS = {"id", "base_score"}

@@ -9,12 +9,16 @@ other arguments' strengths do not count. Explicit grid bounds must lie in
 the semantics domain. The enumeration streams in C order over fixed-width
 column chunks, each evaluated as one batch on the one compiled plan, keeping
 a running minimum and its tie-break, so memory stays bounded by the chunk
-width whatever the grid size. A call allocates its batch, the level pass's
-buffers and the index buffers once; each chunk fills the mutable rows in
-place and is evaluated into the same memory. Certification reads the same
-stream and stops at the first chunk that refutes the change. Deliberately
-unscalable in time; the caps on the mutable set and the number of
-assignments keep the enumeration honest.
+width whatever the grid size. A call counts the grid, and enforces its cap,
+before any grid value is made; it then allocates its batch and the level
+pass's buffers once. Each chunk fills the mutable rows in place from the C
+order pattern, without division: an axis whose period (its size times the
+later axes' sizes) spans at most two chunks copies a window of that
+pattern, tiled once per call, and a longer one writes its few constant runs
+as slices. The chunk is then evaluated into the same memory. Certification
+reads the same stream and stops at the first chunk that refutes the change.
+Deliberately unscalable in time; the caps on the mutable set and the number
+of assignments keep the enumeration honest.
 """
 
 from __future__ import annotations
@@ -73,7 +77,9 @@ def _chunk_width(n: int, total: int) -> int:
     return max(1, min(_CHUNK, total, _CHUNK_CELLS // max(n, 1)))
 
 
-def _grid_values(grid: GridSpec, domain) -> np.ndarray:
+def _grid_count(grid: GridSpec, domain) -> tuple[float, int]:
+    """(lower, count): the grid's values are lower + grid.step * i for i in
+    range(count)."""
     for bound in (grid.lower, grid.upper):
         if bound is not None and not domain.contains(bound):
             raise DomainError(f"grid bound {bound} outside domain [{domain.lower}, {domain.upper}]")
@@ -81,8 +87,64 @@ def _grid_values(grid: GridSpec, domain) -> np.ndarray:
     upper = grid.upper if grid.upper is not None else domain.upper
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise ValueError("grid needs explicit lower/upper bounds for an unbounded domain")
-    count = int(np.floor((upper - lower) / grid.step + 1e-9)) + 1
+    span = (upper - lower) / grid.step
+    if not math.isfinite(span):  # a step so fine that the count overflows a float
+        raise BudgetError(f"grid step {grid.step} gives more grid values than a float can count")
+    return lower, int(np.floor(span + 1e-9)) + 1
+
+
+def _grid_values(grid: GridSpec, domain) -> np.ndarray:
+    lower, count = _grid_count(grid, domain)
     return lower + grid.step * np.arange(count)
+
+
+def _on_grid(value: float, lower: float, step: float, count: int) -> bool:
+    """Whether value is among _grid_values, without making them: the values
+    grow with i (each is a rounded sum of a rounded product, as numpy forms
+    them), so a bisection finds the first one not below value."""
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if lower + step * mid < value:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo < count and lower + step * lo == value
+
+
+def _axis_fill(values: np.ndarray, inner: int, chunk: int):
+    """fill(row, start): write to `row` the values of one mutable axis at
+    stream positions start, start + 1, ...; in C order position t holds
+    values[(t // inner) % len(values)], where inner is the product of the
+    later axes' sizes. A short period (at most two chunks) is tiled once, so
+    that each chunk copies one window of it; a long one has few constant
+    runs per chunk, written as slices (full runs up to a wrap as one
+    broadcast assignment)."""
+    size = len(values)
+    period = inner * size
+    if period <= 2 * chunk:
+        tiled = np.tile(np.repeat(values, inner), -(-(period + chunk) // period))
+
+        def fill(row, start):
+            offset = start % period
+            row[...] = tiled[offset : offset + len(row)]
+    else:
+        def fill(row, start):
+            width = len(row)
+            k, head = divmod(start, inner)
+            i = min(inner - head, width)
+            row[:i] = values[k % size]
+            k += 1
+            while i < width:
+                d = k % size
+                runs = min(size - d, (width - i) // inner)
+                if runs:  # whole runs before the next wrap or the chunk's end
+                    row[i : i + runs * inner].reshape(runs, inner)[...] = values[d : d + runs, None]
+                    i, k = i + runs * inner, k + runs
+                else:  # the chunk ends inside this run
+                    row[i:] = values[d]
+                    i = width
+    return fill
 
 
 def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iterator[OracleResult]:
@@ -90,7 +152,8 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iter
     each chunk, yield the best assignment among those evaluated so far
     (`exhaustive` once the grid is done). A chunk's winners at the running
     minimum join the tie-break, so the answer is the whole grid's. The
-    buffers belong to this call; a short last chunk views a prefix of them."""
+    buffers belong to this call; a short last chunk views a prefix of them.
+    The grid is counted, and the cap enforced, before any of it is made."""
     g = query.graph
     spec = query.semantics
     m_ids = sorted(query.mutable)
@@ -100,23 +163,23 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iter
     plan = compile_graph(g)
     check_scores_in_domain(plan, spec, plan.tau[:, None])
     rule = OrderingRule(plan.index, query.ordering)
-    values = _grid_values(grid, spec.domain)
-    candidates = []
-    for a in m_ids:
-        tau_a = g.base_scores[a]
-        col = values if np.any(values == tau_a) else np.append(values, tau_a)
-        candidates.append(np.sort(col))
-    shape = tuple(len(c) for c in candidates)
+    lower, count = _grid_count(grid, spec.domain)
+    tau_m = [g.base_scores[a] for a in m_ids]
+    on_grid = [_on_grid(tau_a, lower, grid.step, count) for tau_a in tau_m]
+    shape = tuple(count + (not on) for on in on_grid)  # each score off the grid is one more candidate
     total = math.prod(shape)
     if total > grid.max_points:
         raise BudgetError(f"{total} grid assignments exceed the cap of {grid.max_points}")
 
+    values = _grid_values(grid, spec.domain) if m_ids else None
+    candidates = [values if on else np.sort(np.append(values, tau_a)) for on, tau_a in zip(on_grid, tau_m)]
     rows = [plan.index[a] for a in m_ids]
-    tau_m = [g.base_scores[a] for a in m_ids]
     best_norm, best_entries = float("inf"), None
     chunk = _chunk_width(plan.n, total)
+    inner = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
+    fills = [_axis_fill(vals, p, chunk) for vals, p in zip(candidates, inner)]
     buffers, memory = PassBuffers(plan, chunk), np.empty(plan.n * chunk)
-    offsets, (index, digit), (norms, terms) = np.arange(chunk), np.empty((2, chunk), np.intp), np.empty((2, chunk))
+    norms, terms = np.empty((2, chunk))
     width = 0
     for start in range(0, total, chunk):
         if width != min(chunk, total - start):  # the first chunk, and a short last one
@@ -124,11 +187,9 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iter
             batch = memory[: plan.n * width].reshape(plan.n, width)
             batch[...] = plan.tau[:, None]
             narrow = buffers if width == chunk else buffers.narrowed(width)
-            pos, dig, norm, term = index[:width], digit[:width], norms[:width], terms[:width]
-        np.add(offsets[:width], start, out=pos)
-        for row, vals, size in zip(rows[::-1], candidates[::-1], shape[::-1]):  # C order: last axis fastest
-            np.divmod(pos, size, out=(pos, dig))
-            np.take(vals, dig, out=batch[row], mode="clip")
+            norm, term = norms[:width], terms[:width]
+        for row, fill in zip(rows, fills):
+            fill(batch[row], start)
         sigma, undefined = rule.evaluate(plan, spec, batch, narrow)
         ok = rule.holds(sigma, mode) & ~undefined.any(axis=0)
         if ok.any():

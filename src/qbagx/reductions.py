@@ -7,7 +7,10 @@ make everything mutable, and solve. The strong counterfactual problem
 asks for base scores driving one argument's final strength to an exact
 target; we add a parentless reference argument pinned to the target (its
 strength never moves, by stability) and demand a same-tier ordering with
-the topic, so the cost becomes |sigma(topic) - target|.
+the topic, so the cost becomes |sigma(topic) - target|. The reduced graph
+keeps the problem graph's edge sets, so while that graph lives the reduced
+one derives its topology from it (graph.Topology.extended) instead of
+checking the edges and building one per solve.
 
 Both reduced queries are solved Jacobian first: the finite-difference batch
 that a search evaluates per iteration holds the derivative of every

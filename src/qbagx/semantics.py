@@ -235,17 +235,11 @@ def compile_graph(g: QBAG) -> GraphPlan:
     return GraphPlan(g)
 
 
-def _count(index) -> int:
-    return index.stop - index.start if isinstance(index, slice) else len(index)
-
-
 class PassBuffers:
     """Scratch memory for level passes over one plan at one batch width:
     `sigma`, plus `other` and `delta` for fixed-point sweeps (n x width
-    each), and per block, in plan.blocks order, views for the gathered parent
-    strengths, the gathered base scores (None where the rows are a slice,
-    whose base scores are read in place) and the aggregate and influence
-    intermediates (t1, t2, aggregate, mask).
+    each), and per block views for what a pass under one semantics reads
+    (`views`).
 
     A fixed-point iteration, a search workspace or an oracle call makes its
     own and passes it to every pass it runs. Buffers are never shared beyond
@@ -259,23 +253,42 @@ class PassBuffers:
 
     def __init__(self, plan: GraphPlan, width: int, memory: tuple | None = None):
         n = plan.n
-        row_counts = [_count(block[0]) for block in plan.blocks]
-        col_counts = [_count(block[1]) for block in plan.blocks]
         if memory is None:
-            rows, cols = max(row_counts, default=0), max(col_counts, default=0)
+            rows = max((block[2].shape[0] for block in plan.blocks), default=0)  # w is rows x cols
+            cols = max((block[2].shape[1] for block in plan.blocks), default=0)
             memory = (np.empty((3 * n + cols + 4 * rows) * width), np.empty(rows * width, dtype=bool), rows, cols)
-        floats, flags, rows, cols = memory
+        floats, _, rows, cols = memory
         self.plan, self.width, self.memory = plan, width, memory
-        lines = floats[: (3 * n + cols + 4 * rows) * width].reshape(3 * n + cols + 4 * rows, width)
-        self.sigma, self.other, self.delta = lines[:n], lines[n : 2 * n], lines[2 * n : 3 * n]
-        parents = lines[3 * n : 3 * n + cols]
-        tau_rows, t1, t2, agg = (lines[3 * n + cols + k * rows :][:rows] for k in range(4))
-        mask = flags[: rows * width].reshape(rows, width)
-        work = {nr: (t1[:nr], t2[:nr], agg[:nr], mask[:nr]) for nr in set(row_counts)}  # blocks run in turn
-        self.blocks = tuple(
-            (parents[:nc], None if isinstance(r, slice) else tau_rows[:nr], work[nr])
-            for (r, *_), nr, nc in zip(plan.blocks, row_counts, col_counts)
-        )
+        self.lines = floats[: (3 * n + cols + 4 * rows) * width].reshape(3 * n + cols + 4 * rows, width)
+        self.sigma, self.other, self.delta = self.lines[:n], self.lines[n : 2 * n], self.lines[2 * n : 3 * n]
+        self.spec, self.blocks = None, None
+
+    def views(self, spec: SemanticsSpec) -> tuple:
+        """Per block, in plan.blocks order: the gathered parent strengths,
+        the gathered base scores and the aggregate and influence
+        intermediates (t1, t2, aggregate, mask), each None where a pass
+        under `spec` does not read it. Made on the first pass under a
+        semantics and kept for the next ones."""
+        if spec is not self.spec:
+            n, lines, (_, flags, rows, cols) = self.plan.n, self.lines, self.memory
+            t1, t2, agg, tau = (3 * n + cols + k * rows for k in range(4))  # first lines of each buffer
+            product, kind = spec.aggregation == "product", spec.influence.kind
+            mask = flags[: rows * self.width].reshape(rows, self.width) if kind == "p_max" else None
+            blocks = []
+            for r, c, w, *_ in self.plan.blocks:
+                nr, nc = w.shape
+                tau_rows = None if isinstance(r, slice) else lines[tau : tau + nr]
+                if not w.size:  # parentless: no aggregate, and t2 for euler_based only
+                    work = (lines[t1 : t1 + nr], lines[t2 : t2 + nr] if kind == "euler_based" else None, None, None)
+                    blocks.append((None, tau_rows, work))
+                    continue
+                # a product folds its factors 1 - parents into the parents buffer; a sum reads sliced columns in place
+                parents = lines[3 * n : 3 * n + nc] if product or not isinstance(c, slice) else None
+                work = (lines[t1 : t1 + nr], lines[t2 : t2 + nr], lines[agg : agg + nr],
+                        None if mask is None else mask[:nr])
+                blocks.append((parents, tau_rows, work))
+            self.spec, self.blocks = spec, tuple(blocks)
+        return self.blocks
 
     def narrowed(self, width: int) -> "PassBuffers":
         """The same memory viewed at a smaller batch width."""
@@ -321,7 +334,7 @@ def level_pass(
     ufunc gets the operands, in the order, of the operator expression it
     stands for, so the strengths are the same bit for bit either way."""
     inf = spec.influence
-    views = (_ALLOCATE,) * len(plan.blocks) if buffers is None else buffers.blocks
+    views = (_ALLOCATE,) * len(plan.blocks) if buffers is None else buffers.views(spec)
     for (rows, cols, w, att, supp), (parents, tau_rows, work) in zip(plan.blocks, views):
         t1, t2, agg, _ = work
         sliced = isinstance(rows, slice)

@@ -85,6 +85,26 @@ def satisfies_reference(sigma, ordering: q.DesiredOrdering, mode: str = "exact",
     return True
 
 
+def grid_candidates(query: q.ExplanationQuery, grid: q.GridSpec) -> list[np.ndarray]:
+    """Each mutable argument's values on the oracle's grid, in sorted id
+    order: the grid values plus its own score when that is off the grid."""
+    values = _grid_values(grid, query.semantics.domain)
+    return [np.sort(values if np.any(values == tau) else np.append(values, tau))
+            for tau in (query.graph.base_scores[a] for a in sorted(query.mutable))]
+
+
+def grid_fill_reference(candidates: list[np.ndarray], start: int, width: int) -> np.ndarray:
+    """Reference for the oracle's grid fill: the mutable rows at positions
+    start .. start + width - 1 of the C-order stream, from the digits of
+    each position (np.divmod, last axis fastest) and np.take."""
+    rows = np.empty((len(candidates), width))
+    pos = start + np.arange(width)
+    for j in reversed(range(len(candidates))):
+        pos, digit = np.divmod(pos, len(candidates[j]))
+        rows[j] = np.take(candidates[j], digit)
+    return rows
+
+
 def brute_force_reference(query: q.ExplanationQuery, grid: q.GridSpec, mode: str = "weak"):
     """Reference for the streamed oracle: the whole grid in one batch, then
     the minimum norm and the lexicographically smallest entry list at it.
@@ -93,9 +113,7 @@ def brute_force_reference(query: q.ExplanationQuery, grid: q.GridSpec, mode: str
     g = query.graph
     m_ids = sorted(query.mutable)
     plan = compile_graph(g)
-    values = _grid_values(grid, query.semantics.domain)
-    candidates = [np.sort(values if np.any(values == g.base_scores[a]) else np.append(values, g.base_scores[a]))
-                  for a in m_ids]
+    candidates = grid_candidates(query, grid)
     total = math.prod(len(c) for c in candidates)
     batch = np.repeat(plan.tau[:, None], total, axis=1)
     if m_ids:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,18 @@ import qbagx as q
 import qbagx.oracle
 from qbagx.errors import BudgetError, DomainError
 
-from helpers import brute_force_reference, fig_graph, fig_query, random_tiny_query
+import qbagx.explanation
+from qbagx.oracle import _grid_count, _grid_values, _on_grid
+from qbagx.semantics import compile_graph
+
+from helpers import (
+    brute_force_reference,
+    fig_graph,
+    fig_query,
+    grid_candidates,
+    grid_fill_reference,
+    random_tiny_query,
+)
 
 
 def test_grid_best_running_example_exact_mode():
@@ -159,6 +171,8 @@ def test_grid_point_cap_enforced():
     query = random_tiny_query(7, max_mutable=3)
     with pytest.raises(BudgetError):
         q.brute_force_search(query, q.GridSpec(step=0.001, max_points=1000))
+    with pytest.raises(BudgetError, match="more grid values than a float can count"):  # was an OverflowError
+        q.brute_force_search(query, q.GridSpec(step=1e-320))
 
 
 def _reference_queries():
@@ -183,6 +197,7 @@ def test_streamed_oracle_matches_single_batch_reference(monkeypatch):
             best, best_norm, winners = brute_force_reference(query, grid, mode)
             result = q.brute_force_search(query, grid, mode)
             assert (result.best, result.best_norm) == (best, best_norm), (query, mode)
+            assert result.exhaustive and result.points == math.prod(map(len, grid_candidates(query, grid)))
             split_groups += len(set(winners // 7)) > 1
     assert split_groups >= 10
 
@@ -264,3 +279,75 @@ def test_oracle_chunks_after_the_first_allocate_less_than_one_batch():
     assert first.best is not None and rest[-1].exhaustive and rest[-1].points == 12 ** 4
     assert len(rest) >= 5 and rest[-1].points - rest[-2].points < width  # a short last chunk
     assert peak - before < n * width * 8
+
+
+def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
+    """Every chunk's batch equals the divmod fill, for 1 to 4 mutable
+    arguments with candidate lists of unequal length (b's own score is off
+    the grid), for chunk widths below and above each axis period (9, 81,
+    810, 7,290 with all four), and for short last chunks."""
+    batches = []
+    evaluate = qbagx.explanation.evaluate_matrix
+
+    def recording(plan, spec, tau, *args, **kwargs):
+        batches.append(tau.copy())
+        return evaluate(plan, spec, tau, *args, **kwargs)
+
+    monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
+    grid = q.GridSpec(step=0.5, lower=0.0, upper=4.0)  # 9 values; b's score 8 makes 10
+    for mutable in (("e",), ("b",), ("b", "e"), ("a", "b", "e"), ("a", "b", "d", "e")):
+        query = fig_query(mutable)
+        plan = compile_graph(query.graph)
+        candidates = grid_candidates(query, grid)
+        total = math.prod(map(len, candidates))
+        rows = [plan.index[a] for a in sorted(mutable)]
+        for chunk in (1, 4, 7, 10, 50, 100, 500, 1000, 4000, 5000, 8000):
+            monkeypatch.setattr(qbagx.oracle, "_CHUNK", chunk)
+            batches.clear()
+            result = q.brute_force_search(query, grid)
+            assert result.points == total == sum(b.shape[1] for b in batches)
+            start = 0
+            for batch in batches:
+                want = np.repeat(plan.tau[:, None], batch.shape[1], axis=1)
+                want[rows] = grid_fill_reference(candidates, start, batch.shape[1])
+                assert np.array_equal(batch.view(np.uint64), want.view(np.uint64)), (mutable, chunk, start)
+                start += batch.shape[1]
+    assert sorted(map(len, candidates)) == [9, 9, 9, 10]
+
+
+def test_on_grid_agrees_with_the_grid_values():
+    rng = np.random.default_rng(0)
+    for step, lower, upper in ((0.1, 0.0, 1.0), (1 / 31, 0.0, 1.0), (0.125, 0.0, 4.0), (0.3, -1.0, 2.0),
+                               (1e-3, 0.05, 0.95), (0.07, -0.5, 0.5)):
+        grid = q.GridSpec(step=step, lower=lower, upper=upper)
+        low, count = _grid_count(grid, q.NAIVE.domain)
+        values = _grid_values(grid, q.NAIVE.domain)
+        probes = list(values[::7]) + list(rng.uniform(lower - 0.1, upper + 0.1, 50))
+        probes += [np.nextafter(v, d) for v in values[::11] for d in (-np.inf, np.inf)] + [lower - step, upper + step]
+        hits = 0
+        for v in map(float, probes):
+            on = _on_grid(v, low, grid.step, count)
+            assert on == bool(np.any(values == v)), (grid, v)
+            hits += on
+        assert hits >= len(values[::7])
+
+
+def test_the_grid_is_counted_before_any_of_it_is_made():
+    """A step of 1e-7 makes 10,000,001 values per axis: the cap is enforced
+    before any of them is made (before, the check came after about 321 MB),
+    and no mutable argument means no grid values at all."""
+    grid = q.GridSpec(step=1e-7, lower=0, upper=1)
+    for mutable, raises in ((("a", "e"), True), ((), False)):
+        query = fig_query(mutable)
+        compile_graph(query.graph)  # the graph's topology is not the grid's
+        tracemalloc.start()
+        try:
+            if raises:
+                with pytest.raises(BudgetError, match="exceed the cap"):
+                    q.brute_force_search(query, grid)
+            else:
+                assert q.brute_force_search(query, grid).points == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (mutable, peak)

@@ -214,3 +214,17 @@ def test_counterfactual_reference_stays_pinned_after_solving():
         )
         assert q.final_strengths(updated, q.DFQUAD)["y"] == target  # exact, by stability
         assert abs(q.final_strengths(updated, q.DFQUAD)["t"] - target) <= 1e-6
+
+
+def test_solve_counterfactual_builds_no_topology_while_its_graph_is_alive(builds):
+    """The reduced graph adds one parentless argument to the problem's graph,
+    so it derives its topology from the graph's, whose edges are not checked
+    again."""
+    for seed in range(4):
+        inst = q.generate(q.GenSpec(q.structure((4, 8, 4)), "random", seed))
+        topic = inst.layers[-1][0]
+        current = q.final_strengths(inst.graph, q.DFQUAD)[topic]
+        problem = q.CounterfactualProblem(inst.graph, topic, 0.5 if abs(current - 0.5) > 0.01 else 0.6, q.DFQUAD)
+        builds.clear()
+        scores, outcome = q.solve_counterfactual(problem)
+        assert builds == [] and outcome.iterations_used >= 1

@@ -390,20 +390,6 @@ def test_moving_an_edge_between_relations_changes_the_plan():
     assert q.final_strengths(attacking, q.DFQUAD)["b"] < 0.5 < q.final_strengths(supporting, q.DFQUAD)["b"]
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """The argument tuples of the topologies built while the test runs."""
-    built = []
-
-    class Counted(graph.Topology):
-        def __init__(self, arguments, attacks, supports):
-            built.append(arguments)
-            super().__init__(arguments, attacks, supports)
-
-    monkeypatch.setattr(graph, "Topology", Counted)
-    return built
-
-
 def test_a_request_builds_its_topology_once(builds):
     g = q.parse_qbag(q.serialize_qbag(random_dag(3, 8, 9)[0]))
     q.final_strengths(g, q.DFQUAD)
@@ -437,14 +423,61 @@ def test_derived_graphs_share_the_topology_by_identity():
     assert g == fig_graph() and repr(g) == repr(fig_graph())
 
 
-def test_the_same_edge_sets_under_other_arguments_are_checked_in_full(builds):
+def test_narrower_arguments_are_checked_and_wider_ones_derive_the_topology(builds):
     g = q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3}, attacks=[("a", "b")], supports=[("b", "c")])
     g.topology
     with pytest.raises(GraphFormatError, match=r"edge \('b', 'c'\) has an endpoint outside"):
         q.make_qbag({"a": 0.1, "b": 0.2}, g.attacks, g.supports)
     wider = q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}, g.attacks, g.supports)
     assert wider.topology is not g.topology and wider.topology.n == 4
-    assert builds == [("a", "b", "c"), ("a", "b", "c", "d")]
+    assert_same_blocks(wider.topology.blocks, plan_blocks_reference(wider))
+    assert builds == [("a", "b", "c")]
+    assert graph._shared(g.arguments, g.attacks, g.supports) is g.topology  # the index keeps the base
+
+
+def _with_added(g: q.QBAG, added: str) -> q.QBAG:
+    return q.make_qbag({**g.base_scores, added: 0.5}, g.attacks, g.supports)
+
+
+def _bits(strengths: dict) -> str:
+    return repr(list(strengths.items()))  # repr tells -0.0 from 0.0, and every last bit
+
+
+def test_derived_topologies_equal_a_fresh_build(builds):
+    """An argument added first, in the middle or last of the ids: the derived
+    topology equals a build part for part, and so do the strengths."""
+    bases = [random_dag(seed, 1, 12)[0] for seed in range(30)]
+    bases += [q.generate(q.GenSpec(q.structure((4, 8, 4)), "random", seed)).graph for seed in range(6)]
+    derived = 0
+    for g in bases:
+        if g.topology.depth is None:
+            continue
+        for added in ("0", g.arguments[len(g.arguments) // 2] + "_", "~"):
+            builds.clear()
+            wider = _with_added(g, added)
+            topology = wider.topology
+            assert builds == []
+            fresh = graph.Topology(wider.arguments, frozenset(g.attacks), frozenset(g.supports))
+            assert_same_blocks(topology.blocks, fresh.blocks)
+            assert topology.ids == fresh.ids and dict(topology.index) == dict(fresh.index) and topology.n == fresh.n
+            assert np.array_equal(topology.depth, fresh.depth) and topology.depth[wider.topology.index[added]] == 0
+            unshared = q.QBAG(wider.arguments, wider.base_scores, fresh.attacks, fresh.supports)
+            for spec in (q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY):
+                assert _bits(q.final_strengths(wider, spec)) == _bits(q.final_strengths(unshared, spec))
+            derived += 1
+    assert derived >= 100
+
+
+def test_a_cyclic_base_and_a_reordered_tuple_build_in_full(builds):
+    cyclic = q.make_qbag({"a": 0.1, "b": 0.2}, attacks=[("a", "b")], supports=[("b", "a")])
+    g = q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3}, attacks=[("a", "b")], supports=[("b", "c")])
+    reordered = q.QBAG(("b", "a", "c", "d"), {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}, g.attacks, g.supports)
+    for base, wider in ((cyclic, _with_added(cyclic, "c")), (g, reordered)):
+        base.topology
+        builds.clear()
+        assert_same_blocks(wider.topology.blocks, plan_blocks_reference(wider))
+        assert builds == [wider.arguments]
+        assert graph._shared(base.arguments, base.attacks, base.supports) is base.topology
 
 
 def test_building_a_topology_rejects_edges_a_direct_construction_let_through():

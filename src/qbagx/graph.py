@@ -225,8 +225,13 @@ class Topology:
     att, supp): rows evaluated together, the parent columns their
     aggregation reads, and over (rows, cols) the signed weight (support +1,
     attack -1) and the attack and support 0/1 matrices. An acyclic graph has
-    one block per depth, whose columns are only that level's parents; a
-    cyclic graph has one block over all rows and columns. Arrays are
+    one block per depth, whose columns are only that level's parents. A
+    cyclic graph has one core block, at position `core` (None if acyclic):
+    every argument on a cycle or on a path between two, with columns that
+    start with its own rows, in order, followed by its other parents. Before
+    it come the blocks of the arguments no cycle reaches, one per depth;
+    after it those of the arguments a cycle reaches but that reach none, one
+    per length of their longest path onwards, longest first. Arrays are
     read-only. It keeps the edge sets it was built on, so that no other
     object takes their ids while it lives.
     """
@@ -235,7 +240,11 @@ class Topology:
         """Map the edges to index arrays, rejecting an edge with an unknown
         endpoint or in both relations, then peel Kahn frontiers: each round
         takes the arguments left without unprocessed parents, so an
-        argument's round is its longest-path depth. One bincount per round."""
+        argument's round is its longest-path depth. One bincount per round.
+        Where the rounds stall on cycles, the arguments left are peeled
+        backwards from those without successors (_heights): those never
+        taken are the core, one level after the last round, and the others
+        follow it, longest path to the end first."""
         self.ids, self.attacks, self.supports = tuple(arguments), attacks, supports
         index = {a: i for i, a in enumerate(self.ids)}
         n, n_att = len(self.ids), len(attacks)
@@ -250,19 +259,24 @@ class Topology:
         sign = np.ones(len(ends))
         sign[:n_att] = -1.0
         indeg = np.bincount(dst, minlength=n)
-        depth = np.empty(n, dtype=np.intp)
+        level = np.empty(n, dtype=np.intp)
         frontier = indeg == 0
         for d in count():
-            depth[frontier] = d
-            indeg[frontier] = -1  # peeled: never a frontier again
-            reached = dst[frontier[src]]
-            if not reached.size:
+            if not frontier.any():
                 break
-            indeg -= np.bincount(reached, minlength=n)
+            level[frontier] = d
+            indeg[frontier] = -1  # peeled: never a frontier again
+            indeg -= np.bincount(dst[frontier[src]], minlength=n)
             frontier = indeg == 0
+        left, self.core = indeg >= 0, None
+        if left.any():  # stalled: every argument left has a parent left, so cycles lie among them
+            height = _heights(src, dst, left)
+            after = height >= 0
+            level[left & ~after] = self.core = d
+            level[after] = d + 1 + height.max() - height[after]
         self.index, self.n = MappingProxyType(index), n
-        self.depth = None if (indeg >= 0).any() else depth
-        self.blocks = _blocks(src, dst, sign, self.depth, n)
+        self.depth = level if self.core is None else None
+        self.blocks = _blocks(src, dst, sign, level, self.core, n)
 
     def extended(self, arguments: tuple[str, ...]) -> Topology:
         """The topology of `arguments` on the same edges, where `arguments`
@@ -289,18 +303,40 @@ class Topology:
         derived = object.__new__(type(self))
         derived.ids, derived.attacks, derived.supports = tuple(arguments), self.attacks, self.supports
         derived.index, derived.n, derived.depth, derived.blocks = MappingProxyType(index), n, depth, tuple(blocks)
+        derived.core = None
         return derived
 
 
-def _blocks(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, depth: np.ndarray | None, n: int) -> tuple:
+def _heights(src: np.ndarray, dst: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Per argument of `left` (which holds the successors of its members),
+    the round in which a Kahn peel of the edges among them, run backwards
+    from the arguments without successors, takes it: the length of its
+    longest path to one of those. -1 for the arguments it never takes,
+    those on a cycle or on a path between two, and for those outside `left`."""
+    inner = left[src]
+    src, dst = src[inner], dst[inner]
+    outdeg = np.bincount(src, minlength=len(left))
+    outdeg[~left] = -1
+    height = np.full(len(left), -1)
+    frontier = outdeg == 0
+    for h in count():
+        if not frontier.any():
+            return height
+        height[frontier] = h
+        outdeg[frontier] = -1
+        outdeg -= np.bincount(src[frontier[dst]], minlength=len(left))
+        frontier = outdeg == 0
+
+
+def _blocks(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, level: np.ndarray, core: int | None, n: int) -> tuple:
     """Topology.blocks. A block's rows are its level's members in argument
-    order and its columns the distinct (level, source) pairs of the level's
-    edges; a cyclic graph is one level whose columns are all arguments.
+    order and its columns the distinct sources of the level's edges in
+    argument order, those inside the level first: only the core has any,
+    and they are all its rows, since each of them has a successor there.
     Every block's weights are one view into a single flat array."""
-    level = np.zeros(n, dtype=np.intp) if depth is None else depth
     edge_level = level[dst]
-    key = edge_level * n + src  # (level, source) of each edge
-    col_keys = np.arange(n) if depth is None else np.unique(key)
+    key = (2 * edge_level + (level[src] != edge_level)) * n + src  # (level, source outside it, source) of each edge
+    col_keys, col_of = np.unique(key, return_inverse=True)
     levels = int(level.max(initial=-1)) + 1
     members = np.argsort(level, kind="stable")
     row_count = np.bincount(level, minlength=levels)
@@ -308,12 +344,12 @@ def _blocks(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, depth: np.ndarra
     row_of = np.empty(n, dtype=np.intp)
     row_of[members] = np.arange(n) - row_start[level[members]]
     col_level, cols = np.divmod(col_keys, n)
-    col_count = np.bincount(col_level, minlength=levels)
+    col_count = np.bincount(col_level >> 1, minlength=levels)
     col_start = np.cumsum(col_count) - col_count
     size = row_count * col_count
     offset = np.cumsum(size) - size
 
-    col_of = np.searchsorted(col_keys, key) - col_start[edge_level]
+    col_of -= col_start[edge_level]
     w = np.zeros(int(size.sum()))
     w[offset[edge_level] + row_of[dst] * col_count[edge_level] + col_of] = sign
     flat = (members, cols, w, (w < 0.0) * 1.0, (w > 0.0) * 1.0)
@@ -322,9 +358,12 @@ def _blocks(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, depth: np.ndarra
     member_ids, col_ids = members.tolist(), cols.tolist()
 
     blocks = []
-    for r0, nr, c0, nc, o in zip(*(a.tolist() for a in (row_start, row_count, col_start, col_count, offset))):
+    for k, (r0, nr, c0, nc, o) in enumerate(zip(*(a.tolist() for a in (row_start, row_count, col_start, col_count, offset)))):
         weights = tuple(part[o:o + nr * nc].reshape(nr, nc) for part in flat[2:])
-        blocks.append((_indexer(members, member_ids, r0, nr), _indexer(cols, col_ids, c0, nc)) + weights)
+        # the core's columns ascend only if its other parents all come after its rows
+        ascending = k != core or nr == nc or col_ids[c0 + nr - 1] < col_ids[c0 + nr]
+        block_cols = _indexer(cols, col_ids, c0, nc) if ascending else cols[c0:c0 + nc]
+        blocks.append((_indexer(members, member_ids, r0, nr), block_cols) + weights)
     return tuple(blocks)
 
 

@@ -22,9 +22,15 @@ graph builds once and shares with the graphs built on the same edge sets
 (a search, its verification, the strengths of its result), plus a tau of
 its own base scores. Each column of a base-score matrix is one assignment
 of base scores to a plan. Acyclic graphs are evaluated by a single forward
-pass over topological levels (exact); cyclic graphs by synchronous
-fixed-point iteration from the base scores, with non-convergent arguments
-reported as undefined. Both run the same pass over plan blocks.
+pass over topological levels (exact). Cyclic graphs are evaluated in
+three parts: the same exact pass over the levels of the arguments no cycle
+reaches, synchronous fixed-point iteration from the base scores over the
+core (every argument on a cycle or between two), and the exact pass over
+the levels of the arguments the core reaches. Only the core is swept, and
+its aggregate over parents outside it is computed once. Each column stops
+at its own first sweep whose change is below epsilon, so its strengths do
+not depend on the batch it is evaluated in. Arguments that still move
+after max_sweeps, and everything they reach, are reported as undefined.
 
 Code that runs passes over and over (a fixed-point iteration, a search, an
 oracle stream) hands the pass a PassBuffers of its own, and the pass writes
@@ -35,7 +41,9 @@ share.
 
 from __future__ import annotations
 
+import copy
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -108,6 +116,12 @@ class SemanticsSpec:
     def __post_init__(self):
         if self.aggregation not in ("sum", "product"):
             raise ValueError(f"unknown aggregation: {self.aggregation!r}")
+        # a NaN epsilon would settle no column and then leave every strength defined
+        if not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be a positive finite number, got {self.epsilon!r}")
+        # no sweep at all would report the base scores as settled strengths
+        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be an integer of at least 1, got {self.max_sweeps!r}")
 
 
 DFQUAD = SemanticsSpec("product", Influence("linear", k=1.0), UNIT_INTERVAL, name="dfquad")
@@ -221,13 +235,14 @@ def influence_value(inf: Influence, w: float, s: float) -> float:
 
 class GraphPlan:
     """Index-based evaluation plan: one graph's base scores (`tau`) on its
-    own graph.Topology, from which ids, index, n, acyclic and blocks come."""
+    own graph.Topology, from which ids, index, n, blocks and core come."""
 
     def __init__(self, g: QBAG):
         topology = g.topology
         self.graph = g
         self.ids, self.index, self.n, self.blocks = topology.ids, topology.index, topology.n, topology.blocks
-        self.acyclic = topology.depth is not None
+        self.core = topology.core
+        self.acyclic = self.core is None
         self.tau = np.fromiter(map(g.base_scores.__getitem__, self.ids), dtype=float, count=self.n)
 
 
@@ -236,10 +251,11 @@ def compile_graph(g: QBAG) -> GraphPlan:
 
 
 class PassBuffers:
-    """Scratch memory for level passes over one plan at one batch width:
-    `sigma`, plus `other` and `delta` for fixed-point sweeps (n x width
-    each), and per block views for what a pass under one semantics reads
-    (`views`).
+    """Scratch memory for passes over one plan at one batch width: `sigma`
+    (n x width), on a cyclic plan the core's state (`core_state`: iterates,
+    the next sweep, their change and two parts of the aggregate, core rows x
+    width each), and per block views for what a pass under one semantics
+    reads (`views`).
 
     A fixed-point iteration, a search workspace or an oracle call makes its
     own and passes it to every pass it runs. Buffers are never shared beyond
@@ -256,11 +272,15 @@ class PassBuffers:
         if memory is None:
             rows = max((block[2].shape[0] for block in plan.blocks), default=0)  # w is rows x cols
             cols = max((block[2].shape[1] for block in plan.blocks), default=0)
-            memory = (np.empty((3 * n + cols + 4 * rows) * width), np.empty(rows * width, dtype=bool), rows, cols)
-        floats, _, rows, cols = memory
+            core = 0 if plan.core is None else plan.blocks[plan.core][2].shape[0]
+            lines = n + cols + 4 * rows + 5 * core
+            memory = (np.empty(lines * width), np.empty(rows * width, dtype=bool), rows, cols, core)
+        floats, _, rows, cols, core = memory
+        lines = n + cols + 4 * rows + 5 * core
         self.plan, self.width, self.memory = plan, width, memory
-        self.lines = floats[: (3 * n + cols + 4 * rows) * width].reshape(3 * n + cols + 4 * rows, width)
-        self.sigma, self.other, self.delta = self.lines[:n], self.lines[n : 2 * n], self.lines[2 * n : 3 * n]
+        self.lines = floats[: lines * width].reshape(lines, width)
+        self.sigma = self.lines[:n]
+        self.core_state = self.lines[lines - 5 * core :].reshape(5, core, width)
         self.spec, self.blocks = None, None
 
     def views(self, spec: SemanticsSpec) -> tuple:
@@ -270,8 +290,8 @@ class PassBuffers:
         under `spec` does not read it. Made on the first pass under a
         semantics and kept for the next ones."""
         if spec is not self.spec:
-            n, lines, (_, flags, rows, cols) = self.plan.n, self.lines, self.memory
-            t1, t2, agg, tau = (3 * n + cols + k * rows for k in range(4))  # first lines of each buffer
+            n, lines, (_, flags, rows, cols, _) = self.plan.n, self.lines, self.memory
+            t1, t2, agg, tau = (n + cols + k * rows for k in range(4))  # first lines of each buffer
             product, kind = spec.aggregation == "product", spec.influence.kind
             mask = flags[: rows * self.width].reshape(rows, self.width) if kind == "p_max" else None
             blocks = []
@@ -283,7 +303,7 @@ class PassBuffers:
                     blocks.append((None, tau_rows, work))
                     continue
                 # a product folds its factors 1 - parents into the parents buffer; a sum reads sliced columns in place
-                parents = lines[3 * n : 3 * n + nc] if product or not isinstance(c, slice) else None
+                parents = lines[n : n + nc] if product or not isinstance(c, slice) else None
                 work = (lines[t1 : t1 + nr], lines[t2 : t2 + nr], lines[agg : agg + nr],
                         None if mask is None else mask[:nr])
                 blocks.append((parents, tau_rows, work))
@@ -303,6 +323,21 @@ def _masked_product(mask, factors):
     """prod over the entries of `factors` where the 0/1 `mask` is 1, batched:
     (rows, cols) x (cols, B)."""
     return np.where(mask[:, :, None] > 0.0, factors[None, :, :], 1.0).prod(axis=1)
+
+
+def _factor_products(att, supp, factors, att_out, supp_out):
+    """Per row, the products of the factors (1 - parent strength) over its
+    attackers and over its supporters: exp of summed logs, taken in place in
+    `factors`, into the two outs; exact masked products, allocated, where
+    some factor is negative (out-of-domain strengths)."""
+    # argmin finds the least factor, or the first NaN, faster than min() reduces
+    low = factors.item(factors.argmin()) if factors.size else math.inf
+    if low >= 0.0:  # the floor only moves factors below it
+        if low < _LOG_FLOOR:
+            np.maximum(factors, _LOG_FLOOR, out=factors)
+        logs = np.log(factors, factors)
+        return np.exp(np.matmul(att, logs, att_out), att_out), np.exp(np.matmul(supp, logs, supp_out), supp_out)
+    return _masked_product(att, factors), _masked_product(supp, factors)
 
 
 def _parentless(inf: Influence, w, out, t1, t2):
@@ -333,9 +368,15 @@ def level_pass(
     each step allocates, which is cheaper for a pass that runs once. Each
     ufunc gets the operands, in the order, of the operator expression it
     stands for, so the strengths are the same bit for bit either way."""
-    inf = spec.influence
     views = (_ALLOCATE,) * len(plan.blocks) if buffers is None else buffers.views(spec)
-    for (rows, cols, w, att, supp), (parents, tau_rows, work) in zip(plan.blocks, views):
+    _blocks_pass(plan.blocks, views, spec, tau, src, out)
+    return out
+
+
+def _blocks_pass(blocks: tuple, views: tuple, spec: SemanticsSpec, tau, src, out) -> None:
+    """level_pass over `blocks`, each with its views."""
+    inf = spec.influence
+    for (rows, cols, w, att, supp), (parents, tau_rows, work) in zip(blocks, views):
         t1, t2, agg, _ = work
         sliced = isinstance(rows, slice)
         # take's default mode="raise" fills a temporary before out; the indices are valid
@@ -348,41 +389,91 @@ def level_pass(
             if spec.aggregation == "sum":
                 agg = np.matmul(w, gathered, agg)
             else:
-                factors = np.subtract(1.0, gathered, parents)
-                low = np.minimum.reduce(factors, axis=None)
-                if low >= 0.0:  # the floor only moves factors below it
-                    if low < _LOG_FLOOR:
-                        np.maximum(factors, _LOG_FLOOR, out=factors)
-                    logs = np.log(factors, factors)
-                    gain = np.exp(np.matmul(supp, logs, t2), t2)
-                    agg = np.subtract(np.exp(np.matmul(att, logs, agg), agg), gain, agg)
-                else:  # negative factors (out-of-domain strengths): exact masked products
-                    agg = np.subtract(_masked_product(att, factors), _masked_product(supp, factors), agg)
+                drop, gain = _factor_products(att, supp, np.subtract(1.0, gathered, parents), agg, t2)
+                agg = np.subtract(drop, gain, agg)
             result = _apply_influence(inf, base, agg, dest, work)
         if not sliced:
             out[rows] = result
-    return out
 
 
 def _fixed_point(
     plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, buffers: PassBuffers
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Synchronous (Jacobi) iteration from tau, sweeping between the buffers
-    sigma and other. Returns (sigma, defined mask); sigma is one of the two.
+    """The exact forward pass over the blocks before and after the core, and
+    synchronous (Jacobi) iteration over the core from its base scores in
+    between (_sweep_core). Returns (buffers.sigma, defined mask).
 
-    On non-convergence, every argument that is still moving, plus everything
-    reachable from one, is marked undefined; stabilized parts keep their values.
+    On non-convergence, every core row that is still moving in a column,
+    plus everything reachable from one, is marked undefined; stabilized
+    parts keep their values.
     """
-    current, nxt, delta = buffers.sigma, buffers.other, buffers.delta
-    np.copyto(current, tau)
-    delta.fill(0.0)
+    sigma, k, views = buffers.sigma, plan.core, buffers.views(spec)
+    _blocks_pass(plan.blocks[:k], views[:k], spec, tau, sigma, sigma)
+    unstable = _sweep_core(plan.blocks[k], views[k], spec, tau, sigma, buffers.core_state)
+    _blocks_pass(plan.blocks[k + 1 :], views[k + 1 :], spec, tau, sigma, sigma)
+    if unstable is None:
+        return sigma, np.ones(tau.shape, dtype=bool)
+    moving = np.zeros(tau.shape, dtype=bool)
+    moving[plan.blocks[k][0]] = unstable
+    return sigma, ~_tainted(plan, moving)
+
+
+def _sweep_core(block: tuple, view: tuple, spec: SemanticsSpec, tau, sigma, state) -> np.ndarray | None:
+    """Jacobi sweeps over the core block, from its base scores, into its
+    rows of sigma, whose other rows hold the core's other parents.
+
+    The core's columns start with its own c rows; the aggregate's part over
+    the other columns is computed once: their weighted sum, or the products
+    of their factors, which each sweep adds or multiplies in. Each column
+    stops at its own first sweep whose largest change over the core rows is
+    below epsilon and keeps that sweep's values, so its strengths do not
+    depend on the other columns of the batch. Returns None once every column
+    has settled, else, after max_sweeps, the core entries whose last change
+    in an unsettled column was at least epsilon (core rows x batch).
+    """
+    rows, cols, w, att, supp = block
+    parents, tau_rows, work = view
+    _, t2, agg, _ = work
+    x, y, delta, inflow, inflow_supp = state
+    c, width = w.shape[0], tau.shape[1]
+    base = tau[rows] if isinstance(rows, slice) else tau.take(rows, axis=0, out=tau_rows, mode="clip")
+    gathered = sigma[cols] if isinstance(cols, slice) else sigma.take(cols, axis=0, out=parents, mode="clip")
+    product = spec.aggregation == "product"
+    if product:
+        factors = np.subtract(1.0, gathered[c:], parents[c:])
+        inflow, inflow_supp = _factor_products(att[:, c:], supp[:, c:], factors, inflow, inflow_supp)
+    else:
+        np.matmul(w[:, c:], gathered[c:], inflow)
+    w_in, att_in, supp_in = w[:, :c], att[:, :c], supp[:, :c]
+    inf, eps, active, unstable = spec.influence, spec.epsilon, None, None
+    if width > 1:  # per column: the largest change and whether it is below epsilon
+        top, settled = np.empty(width), np.empty(width, dtype=bool)
+    np.copyto(x, base)
     for _ in range(spec.max_sweeps):
-        level_pass(plan, spec, tau, current, nxt, buffers)
-        np.abs(np.subtract(nxt, current, delta), delta)
-        current, nxt = nxt, current
-        if delta.max(initial=0.0) < spec.epsilon:
-            return current, np.ones(tau.shape, dtype=bool)
-    return current, ~_tainted(plan, delta >= spec.epsilon)
+        if product:
+            drop, gain = _factor_products(att_in, supp_in, np.subtract(1.0, x, parents[:c]), agg, t2)
+            s = np.subtract(np.multiply(drop, inflow, agg), np.multiply(gain, inflow_supp, t2), agg)
+        else:
+            s = np.add(np.matmul(w_in, x, agg), inflow, agg)
+        _apply_influence(inf, base, s, y, work)
+        np.abs(np.subtract(y, x, delta), delta)
+        if active is None:  # every column takes the sweep
+            x, y = y, x
+        else:  # only the columns still moving do
+            np.copyto(x, y, where=active)
+        # argmax finds the largest entry, or the first NaN, faster than max() reduces
+        if delta.item(delta.argmax()) < eps:  # every column still moving settles here
+            break
+        if width > 1:
+            np.less(np.maximum.reduce(delta, axis=0, out=top), eps, out=settled)
+            if settled.item(settled.argmax()):  # some column settles here, and keeps this sweep
+                active = ~settled if active is None else np.logical_and(active, ~settled, out=active)
+                if not active.item(active.argmax()):
+                    break
+    else:  # max_sweeps ran out
+        unstable = delta >= eps if active is None else (delta >= eps) & active
+    sigma[rows] = x
+    return unstable
 
 
 def _tainted(plan: GraphPlan, unstable: np.ndarray) -> np.ndarray:
@@ -398,24 +489,38 @@ def _tainted(plan: GraphPlan, unstable: np.ndarray) -> np.ndarray:
         tainted = spread
 
 
+def _as_one_core(plan: GraphPlan) -> GraphPlan:
+    """`plan` with the whole graph as its core: one block whose rows and
+    columns are every argument, which method="iterative" sweeps."""
+    n, every = plan.n, np.arange(plan.n)
+    w = np.zeros((n, n))
+    for rows, cols, block_w, *_ in plan.blocks:
+        w[np.ix_(every[rows], every[cols])] = block_w
+    whole = copy.copy(plan)
+    whole.blocks, whole.core, whole.acyclic = ((slice(0, n), slice(0, n), w, (w < 0.0) * 1.0, (w > 0.0) * 1.0),), 0, False
+    return whole
+
+
 def evaluate_matrix(
     plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, method: str = "auto", buffers: PassBuffers | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a batch of base-score columns; returns (sigma, defined).
 
     method: "auto" picks the forward pass for acyclic graphs, "iterative"
-    forces fixed-point iteration (used to cross-check the two evaluators).
+    sweeps an acyclic graph as one core block by fixed-point iteration (used
+    to cross-check the two evaluators); cyclic graphs always take the
+    forward pass around fixed-point iteration over their core.
     buffers: the caller's PassBuffers for this plan at the batch width; sigma
     is then one of its buffers, overwritten by the next evaluation that uses
     them. Without, the forward pass allocates as it goes and a fixed-point
     iteration makes its own.
 
-    A column's strengths depend on the batch width only through rounding
-    and, on cyclic plans, through the stopping sweep. On acyclic plans they
-    agree with the column's width-1 evaluation within 1e-12 (matrix
-    products sum in a width-dependent order). On cyclic plans the sweeps go
-    on until every column of the batch has settled, so a column may take
-    more sweeps in a wider batch; there they agree within 10 * spec.epsilon.
+    A column's strengths depend on the batch width only through rounding:
+    matrix products sum in a width-dependent order. On acyclic plans they
+    agree with the column's width-1 evaluation within 1e-12. On cyclic
+    plans each column stops at its own first sweep whose change is below
+    spec.epsilon, whatever the other columns do; a rounding difference can
+    move that sweep by one, so they agree within spec.epsilon.
     """
     if tau.ndim != 2 or tau.shape[0] != plan.n:
         raise ValueError("tau must have shape (n_arguments, batch)")
@@ -423,7 +528,9 @@ def evaluate_matrix(
         raise ValueError("buffers were made for another plan or batch width")
     if not plan.acyclic and spec.acyclic_only:
         raise CyclicGraphError(f"semantics {spec.name!r} is defined for acyclic graphs only")
-    if not plan.acyclic or method == "iterative":
+    if plan.acyclic and method == "iterative" and plan.n:  # an empty graph has nothing to sweep
+        plan, buffers = _as_one_core(plan), None
+    if not plan.acyclic:
         return _fixed_point(plan, spec, tau, PassBuffers(plan, tau.shape[1]) if buffers is None else buffers)
     sigma = np.empty_like(tau) if buffers is None else buffers.sigma
     return level_pass(plan, spec, tau, sigma, sigma, buffers), np.ones(tau.shape, dtype=bool)

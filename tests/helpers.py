@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 import qbagx as q
 from qbagx.errors import UndefinedStrengthError
 from qbagx.explanation import OrderingRule
+from qbagx.graph import reachable_from
 from qbagx.oracle import _grid_values
 from qbagx.search import AdamState, SearchConfig, SearchOutcome, adam_step
 from qbagx.semantics import _FLOAT_MAX, _LOG_FLOOR, check_scores_in_domain, compile_graph, evaluate_matrix
@@ -160,10 +162,21 @@ def _masked_product_reference(mask, factors):
     return np.where(mask[:, :, None] > 0.0, factors[None, :, :], 1.0).prod(axis=1)
 
 
-def level_pass_reference(plan, spec, tau, src, out):
-    """Reference for semantics.level_pass: the allocating body, every
+def _products_reference(att, supp, factors):
+    """Per row, the products of the factors over its attackers and over its
+    supporters: exp of summed logs, or exact masked products where some
+    factor is negative."""
+    low = np.minimum.reduce(factors, axis=None, initial=np.inf)
+    if low >= 0.0:
+        logs = np.log(factors if low >= _LOG_FLOOR else np.maximum(factors, _LOG_FLOOR))
+        return np.exp(att @ logs), np.exp(supp @ logs)
+    return _masked_product_reference(att, factors), _masked_product_reference(supp, factors)
+
+
+def blocks_pass_reference(blocks, spec, tau, src, out):
+    """Reference for a pass over `blocks`: the allocating body, every
     intermediate a fresh array from an operator expression."""
-    for rows, cols, w, att, supp in plan.blocks:
+    for rows, cols, w, att, supp in blocks:
         if not w.size:
             base = tau[rows]
             if spec.influence.kind == "euler_based":
@@ -174,30 +187,73 @@ def level_pass_reference(plan, spec, tau, src, out):
         if spec.aggregation == "sum":
             agg = w @ src[cols]
         else:
-            factors = 1.0 - src[cols]
-            low = np.minimum.reduce(factors, axis=None)
-            if low >= 0.0:
-                logs = np.log(factors if low >= _LOG_FLOOR else np.maximum(factors, _LOG_FLOOR))
-                agg = np.exp(att @ logs) - np.exp(supp @ logs)
-            else:
-                agg = _masked_product_reference(att, factors) - _masked_product_reference(supp, factors)
+            drop, gain = _products_reference(att, supp, 1.0 - src[cols])
+            agg = drop - gain
         out[rows] = _influence_reference(spec.influence, tau[rows], agg)
     return out
 
 
+def level_pass_reference(plan, spec, tau, src, out):
+    """Reference for semantics.level_pass over all of the plan's blocks."""
+    return blocks_pass_reference(plan.blocks, spec, tau, src, out)
+
+
 def fixed_point_reference(plan, spec, tau):
-    """Reference for the fixed-point sweeps: a fresh output array per sweep.
-    Returns (sigma, sweeps, unstable): unstable marks the entries whose last
-    change was at least epsilon, all False when the iteration settled."""
-    current = tau.copy()
-    delta = np.zeros(tau.shape)
+    """Reference for the fixed-point schedule of a cyclic plan, each step a
+    fresh array: the forward pass over the blocks before the core, Jacobi
+    sweeps over the core from its base scores, then the forward pass over
+    the blocks after it. The core's columns start with its c rows, and the
+    aggregate's part over the other columns is computed once. Each column
+    keeps its values from its own first sweep whose largest change over the
+    core rows is below epsilon. Returns (sigma, sweeps, unstable): the
+    sweeps run, and the core entries of columns that never settled whose
+    last change was at least epsilon."""
+    k = plan.core
+    sigma = np.empty_like(tau)
+    blocks_pass_reference(plan.blocks[:k], spec, tau, sigma, sigma)
+    rows, cols, w, att, supp = plan.blocks[k]
+    c = w.shape[0]
+    base, outside = tau[rows], sigma[cols][c:]
+    if spec.aggregation == "sum":
+        inflow = w[:, c:] @ outside
+
+        def aggregate(x):
+            return w[:, :c] @ x + inflow
+    else:
+        drop_out, gain_out = _products_reference(att[:, c:], supp[:, c:], 1.0 - outside)
+
+        def aggregate(x):
+            drop, gain = _products_reference(att[:, :c], supp[:, :c], 1.0 - x)
+            return drop * drop_out - gain * gain_out
+
+    x = base.copy()
+    settled = np.zeros(tau.shape[1], dtype=bool)
     for sweep in range(1, spec.max_sweeps + 1):
+        nxt = _influence_reference(spec.influence, base, aggregate(x))
+        delta = np.abs(nxt - x)
+        x = np.where(settled, x, nxt)
+        settled |= delta.max(axis=0, initial=0.0) < spec.epsilon
+        if settled.all():
+            break
+    unstable = np.zeros(tau.shape, dtype=bool)
+    unstable[rows] = (delta >= spec.epsilon) & ~settled
+    sigma[rows] = x
+    blocks_pass_reference(plan.blocks[k + 1 :], spec, tau, sigma, sigma)
+    return sigma, sweep, unstable
+
+
+def jacobi_reference(plan, spec, tau):
+    """Dense synchronous iteration over every block from the base scores,
+    until every entry of the batch changes by less than epsilon. Returns
+    (sigma, settled)."""
+    current = tau.copy()
+    for _ in range(spec.max_sweeps):
         nxt = level_pass_reference(plan, spec, tau, current, np.empty_like(current))
         delta = np.abs(nxt - current)
         current = nxt
         if delta.max(initial=0.0) < spec.epsilon:
-            return current, sweep, np.zeros(tau.shape, dtype=bool)
-    return current, spec.max_sweeps, delta >= spec.epsilon
+            return current, True
+    return current, False
 
 
 def batched_costs_reference(plan, spec, rule, theta, m_idx, eps):
@@ -323,34 +379,65 @@ def topological_levels_reference(g: q.QBAG) -> list[list[str]] | None:
     return levels
 
 
-def _indexer_reference(ascending):
-    if len(ascending) and ascending[-1] - ascending[0] == len(ascending) - 1:
-        return slice(ascending[0], ascending[-1] + 1)
-    return np.array(ascending, dtype=int)
+def _indexer_reference(positions):
+    if positions and positions == list(range(positions[0], positions[-1] + 1)):
+        return slice(positions[0], positions[-1] + 1)
+    return np.array(positions, dtype=int)
+
+
+def cyclic_core_reference(g: q.QBAG) -> set[str]:
+    """Reference for the core of a topology: the arguments that some cycle
+    argument (one that reaches itself) is or reaches, and that are or reach
+    some cycle argument."""
+    reach = {a: reachable_from(g, {a}) for a in g.arguments}
+    cycle = [a for a in g.arguments if a in reach[a]]
+    return {a for a in g.arguments
+            if any(a == z or a in reach[z] for z in cycle) and any(a == z or z in reach[a] for z in cycle)}
 
 
 def plan_blocks_reference(g: q.QBAG) -> list[tuple]:
-    """Reference for GraphPlan.blocks: the per-edge Python builder over the
-    reference levels, one (rows, cols, w, att, supp) block per level, or one
-    block over all rows and columns when the graph is cyclic."""
+    """Reference for GraphPlan.blocks: the per-edge Python builder, one
+    (rows, cols, w, att, supp) block per level. An argument no cycle reaches
+    has its longest-path depth as its level; the core's arguments share the
+    next level; after it come the other arguments the core reaches, by the
+    length of their longest path onwards, longest first. A level's rows and
+    columns (the sources of its edges) follow argument order, and the core's
+    columns start with its own rows."""
     ids = list(g.arguments)
     index = {a: i for i, a in enumerate(ids)}
-    n = len(ids)
-    levels = topological_levels_reference(g)
-    acyclic = levels is not None
-    groups = levels if acyclic else [ids]
-    where = {a: (k, r) for k, members in enumerate(groups) for r, a in enumerate(members)}
-    entries: list[list[tuple[int, int, float]]] = [[] for _ in groups]
-    for sign, relation in ((-1.0, g.attacks), (1.0, g.supports)):
-        for a, b in relation:
-            k, r = where[b]
-            entries[k].append((r, index[a], sign))
+    parents: dict[str, list[str]] = {a: [] for a in ids}
+    children: dict[str, list[str]] = {a: [] for a in ids}
+    for a, b in g.attacks | g.supports:
+        parents[b].append(a)
+        children[a].append(b)
+    core = cyclic_core_reference(g)
+    after = reachable_from(g, core) - core
+    before = set(ids) - core - after
+
+    @functools.cache
+    def depth(a: str) -> int:  # parents of an argument before the core lie before it too
+        return 1 + max(map(depth, parents[a]), default=-1)
+
+    @functools.cache
+    def height(a: str) -> int:  # and children of one after the core lie after it
+        return 1 + max(map(height, children[a]), default=-1)
+
+    core_level = 1 + max(map(depth, before), default=-1)
+    last = core_level + 1 + max(map(height, after), default=-1)
+    level = {a: depth(a) for a in before} | dict.fromkeys(core, core_level) | {a: last - height(a) for a in after}
+    groups: list[list[str]] = [[] for _ in range(1 + max(level.values(), default=-1))]
+    for a in ids:
+        groups[level[a]].append(a)
     blocks = []
-    for members, block in zip(groups, entries):
-        cols = sorted({j for _, j, _ in block}) if acyclic else range(n)
+    for members in groups:
+        sources = {p for a in members for p in parents[a]}
+        own = [a for a in members if a in core]
+        cols = [index[a] for a in own] + sorted(index[p] for p in sources - set(own))
         col_pos = {j: c for c, j in enumerate(cols)}
         w = np.zeros((len(members), len(cols)))
-        w[[r for r, _, _ in block], [col_pos[j] for _, j, _ in block]] = [v for _, _, v in block]
+        for r, b in enumerate(members):
+            for a in parents[b]:
+                w[r, col_pos[index[a]]] = 1.0 if (a, b) in g.supports else -1.0
         rows = [index[a] for a in members]
         blocks.append((_indexer_reference(rows), _indexer_reference(cols), w, (w < 0.0) * 1.0, (w > 0.0) * 1.0))
     return blocks
@@ -372,8 +459,9 @@ def assert_same_blocks(blocks, reference) -> None:
 
 def plan_reference_cases() -> list[q.QBAG]:
     """Graphs to compare the compile with its references on: random_dag
-    graphs, layered graphs with and without back edges, a self-loop,
-    isolated arguments, one argument and the empty graph."""
+    graphs, layered graphs with and without back edges, a self-loop, two
+    disjoint cycles, two cycles in series, a cycle with no parent outside
+    it, isolated arguments, one argument and the empty graph."""
     graphs = [random_dag(seed, 1, 14)[0] for seed in range(40)]
     for seed, struct in enumerate(((4, 8, 4), (8, 32, 16, 8), (3, 1, 5, 2, 2))):
         inst = q.generate(q.GenSpec(q.structure(struct), "random", seed))
@@ -383,6 +471,16 @@ def plan_reference_cases() -> list[q.QBAG]:
         graphs.append(q.make_qbag(g.base_scores, g.attacks, g.supports | {back}))
     graphs += [
         q.make_qbag({"x": 0.5, "y": 0.2}, attacks=[("x", "x")], supports=[("x", "y")]),
+        # two disjoint cycles, a parent before one and a child after both
+        q.make_qbag({"a": 0.3, "b": 0.6, "c": 0.2, "d": 0.9, "e": 0.5, "f": 0.4},
+                    attacks=[("b", "c"), ("d", "e")], supports=[("a", "b"), ("c", "b"), ("e", "d"), ("c", "f")]),
+        # two cycles in series with an acyclic argument between them; the core
+        # reads parents placed before its rows
+        q.make_qbag({"a": 0.1, "b": 0.7, "c": 0.4, "m": 0.5, "p": 0.8, "q": 0.3, "r": 0.6, "z": 0.2},
+                    attacks=[("c", "b"), ("m", "q"), ("q", "r")],
+                    supports=[("a", "c"), ("b", "c"), ("c", "m"), ("r", "q"), ("p", "r"), ("r", "z")]),
+        # a support loop with nothing before it
+        q.make_qbag({"x": 0.3, "y": 0.4, "z": 0.5}, attacks=[("y", "z")], supports=[("x", "y"), ("y", "x")]),
         q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}, attacks=[("c", "a")]),
         q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3}),
         q.make_qbag({"only": 0.5}),

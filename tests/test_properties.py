@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import qbagx as q
+import qbagx.oracle
 from qbagx.errors import UndefinedStrengthError
+from qbagx.explanation import OrderingRule
 from qbagx.semantics import compile_graph, evaluate_matrix
 
 from helpers import random_tiny_query
@@ -264,3 +266,41 @@ def test_inverse_solutions_realize_their_orderings_wherever_adam_does():
         solved += 1
         assert q.satisfies(q.make_qbag(scores, p.attacks, p.supports), spec, p.ordering, mode="exact")
     assert solved >= 8
+
+
+def test_exact_verdicts_on_cyclic_graphs_do_not_depend_on_the_batch_width():
+    """Each column of a cyclic evaluation stops at its own sweep, so its
+    exact verdict is the same alone, among 7 or 105 columns, or in an oracle
+    chunk. The columns perturb the mutable scores at scales from 1e-12 up,
+    against the ordering that the unperturbed strengths realize."""
+    flipped = 0
+    for seed in range(4):
+        inst = q.generate(q.GenSpec(q.structure((3, 4, 3)), "random", seed))
+        rng = np.random.default_rng(seed)
+        g = inst.graph
+        supports = set(g.supports) | {(inst.layers[-1][k], inst.layers[1][k]) for k in range(2)}
+        g = q.make_qbag(g.base_scores, g.attacks - supports, supports)
+        plan = compile_graph(g)
+        assert not plan.acyclic
+        chunk = qbagx.oracle._CHUNK_CELLS // plan.n
+        batch = np.repeat(plan.tau[:, None], chunk, axis=1)
+        scales = 10.0 ** rng.integers(-12, 0, size=chunk)
+        for a in inst.layers[0]:
+            batch[plan.index[a]] = np.clip(plan.tau[plan.index[a]] + scales * rng.normal(size=chunk), 0.0, 1.0)
+        batch[:, 0] = plan.tau
+        for spec in (q.DFQUAD, q.EULER_BASED):
+            sigma, _ = evaluate_matrix(plan, spec, plan.tau[:, None])
+            topics = inst.layers[-1]
+            ranked = sorted(topics, key=lambda a: sigma[plan.index[a], 0])
+            rule = OrderingRule(plan.index, q.ordering_from_tiers([[a] for a in ranked]))
+            verdicts = {}
+            for width, columns in ((chunk, chunk), (105, chunk), (7, 735), (1, 210)):
+                verdicts[width] = np.concatenate([
+                    rule.holds(evaluate_matrix(plan, spec, batch[:, start : min(start + width, columns)])[0], "exact")
+                    for start in range(0, columns, width)
+                ])
+            for width in (105, 7, 1):
+                assert np.array_equal(verdicts[width], verdicts[chunk][: len(verdicts[width])]), (seed, spec.name, width)
+            assert verdicts[chunk][0]
+            flipped += int((~verdicts[chunk]).sum())
+    assert flipped > 0  # some perturbations do change the order

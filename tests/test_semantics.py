@@ -18,6 +18,7 @@ from helpers import (
     assert_same_blocks,
     fig_graph,
     fixed_point_reference,
+    jacobi_reference,
     level_pass_reference,
     plan_blocks_reference,
     plan_reference_cases,
@@ -216,7 +217,7 @@ def _with_back_edges(inst, seed, count=4):
 
 def test_batched_evaluation_matches_single_columns():
     """A column's strengths agree with its width-1 evaluation to the
-    tolerance evaluate_matrix documents: 1e-12 on acyclic plans, 10 *
+    tolerance evaluate_matrix documents: 1e-12 on acyclic plans,
     spec.epsilon on cyclic ones."""
     graphs = [random_dag(11)[0]]
     for seed in (1, 2):
@@ -229,7 +230,7 @@ def test_batched_evaluation_matches_single_columns():
         tau = np.random.default_rng(k).random((plan.n, width))
         for token in ("dfquad", "eb", "qe"):
             spec = q.builtin_semantics(token)
-            tolerance = 1e-12 if plan.acyclic else 10 * spec.epsilon
+            tolerance = 1e-12 if plan.acyclic else spec.epsilon
             sigma, defined = evaluate_matrix(plan, spec, tau)
             assert defined.all()
             for b in range(width):
@@ -645,31 +646,84 @@ def test_level_pass_matches_the_allocating_reference_bit_for_bit():
 
 def test_fixed_point_sweeps_match_the_allocating_reference(monkeypatch):
     """Cyclic plans: strengths, sweep counts and defined masks equal the
-    reference's, for batches that settle and batches that do not."""
-    sweeps = []
-    real_pass = semantics.level_pass
+    reference schedule's, for batches that settle and batches that do not,
+    and every influence is written into the caller's buffers."""
+    outs = []
+    real_influence = semantics._apply_influence
 
-    def counting(plan, spec, tau, src, out, buffers=None):
-        sweeps.append(buffers)
-        return real_pass(plan, spec, tau, src, out, buffers)
+    def recording(inf, w, s, out=None, work=(None, None, None, None)):
+        outs.append(out)
+        return real_influence(inf, w, s, out, work)
 
-    monkeypatch.setattr(semantics, "level_pass", counting)
+    monkeypatch.setattr(semantics, "_apply_influence", recording)
     rng = np.random.default_rng(1)
     cyclic = [g for g in plan_reference_cases() if not compile_graph(g).acyclic]
     unsettled = 0
     for g in cyclic:
         plan = compile_graph(g)
+        level_blocks = sum(bool(block[2].size) for k, block in enumerate(plan.blocks) if k != plan.core)
         for spec in PASS_SPECS[:3] + PASS_SPECS[4:]:
             for max_sweeps in (20, 400):
                 spec_n = dataclasses.replace(spec, max_sweeps=max_sweeps)
                 for width in (1, 7, 105):
                     tau = _pass_inputs(rng, plan, spec_n, width)
-                    sweeps.clear()
+                    buffers = PassBuffers(plan, width)
+                    outs.clear()
                     with np.errstate(over="ignore", invalid="ignore"):  # linear(0.7) can diverge on a cycle
                         want, count, unstable = fixed_point_reference(plan, spec_n, tau)
-                        got, defined = evaluate_matrix(plan, spec_n, tau)
+                        got, defined = evaluate_matrix(plan, spec_n, tau, buffers=buffers)
                     _assert_same_bits(got, want, (g.arguments, spec, width))
-                    assert len(sweeps) == count and len({id(b) for b in sweeps}) == 1
+                    assert len(outs) == level_blocks + count
+                    assert all(np.shares_memory(out, buffers.lines) for out in outs)
                     assert np.array_equal(defined, ~semantics._tainted(plan, unstable))
                     unsettled += bool(unstable.any())
     assert unsettled > 0
+
+
+def _cyclic_cases():
+    graphs = [g for g in plan_reference_cases() if not compile_graph(g).acyclic]
+    for seed in (1, 2):
+        graphs.append(_with_back_edges(q.generate(q.GenSpec(q.structure((8, 32, 16, 8)), "random", seed)), seed))
+    return graphs
+
+
+def test_fixed_point_agrees_with_the_dense_iteration():
+    """Sweeping only the core from exact parents lands within 10 * epsilon of
+    synchronous iteration over every argument, wherever that settles."""
+    rng = np.random.default_rng(2)
+    for g in _cyclic_cases():
+        plan = compile_graph(g)
+        for spec in (q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY):
+            tau = rng.random((plan.n, 7))
+            want, settled = jacobi_reference(plan, spec, tau)
+            got, defined = evaluate_matrix(plan, spec, tau)
+            assert settled and defined.all()
+            assert np.abs(got - want).max() <= 10 * spec.epsilon, (g.arguments, spec.name)
+
+
+def test_rows_before_the_core_are_exact():
+    """The arguments no cycle reaches get, bit for bit, the strengths of the
+    acyclic graph they form on their own."""
+    checked = 0
+    for g in _cyclic_cases():
+        plan = compile_graph(g)
+        upstream = {plan.ids[i] for rows, *_ in plan.blocks[: plan.core] for i in np.arange(plan.n)[rows]}
+        assert upstream.isdisjoint(reachable_from(g, {a for a in g.arguments if a in reachable_from(g, {a})}))
+        alone = q.restrict(g, upstream)
+        for spec in (q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY):
+            full, part = q.final_strengths(g, spec), q.final_strengths(alone, spec)
+            assert repr([full[a] for a in alone.arguments]) == repr(list(part.values()))
+        checked += bool(upstream)
+    assert checked >= 6
+
+
+def test_fixed_point_settings_are_checked_at_construction():
+    """max_sweeps=0 used to report the base scores as settled strengths, and
+    epsilon=nan ran every sweep and then called every strength defined."""
+    for bad in ({"max_sweeps": 0}, {"max_sweeps": -1}, {"max_sweeps": 2.5}, {"max_sweeps": True},
+                {"epsilon": float("nan")}, {"epsilon": 0.0}, {"epsilon": -1e-9}, {"epsilon": float("inf")}):
+        with pytest.raises(ValueError, match="max_sweeps|epsilon"):
+            dataclasses.replace(q.DFQUAD, **bad)
+    ok = dataclasses.replace(q.DFQUAD, max_sweeps=np.int64(1), epsilon=1e-3)
+    g = q.make_qbag({"x": 0.3, "y": 0.4}, supports=[("x", "y"), ("y", "x")])
+    assert q.final_strengths(g, ok) == {"x": None, "y": None}  # one sweep moves both

@@ -216,6 +216,16 @@ class OrderingRule:
         tied = (a <= b + tolerance) & (b <= a + tolerance)
         return apart.all(axis=0) & tied.all(axis=0)
 
+    def required(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second): the topic pairs for which `holds` in `mode`
+        (tolerance 0) needs sigma(first) <= sigma(second): the cross-tier
+        pairs, and in exact mode the same-tier pairs both ways."""
+        if mode == "weak":
+            return self.weak, self.strong
+        if mode != "exact":
+            raise ValueError(f"unknown satisfaction mode: {mode!r}")
+        return np.concatenate((self.weak, self.tie_a, self.tie_b)), np.concatenate((self.strong, self.tie_b, self.tie_a))
+
     def evaluate(self, plan, spec: SemanticsSpec, tau: np.ndarray, buffers=None) -> tuple[np.ndarray, np.ndarray]:
         """Strengths of the base-score columns `tau` on `plan`, and which topic
         strengths are undefined (one row per topic). A column is judged by its

@@ -1,24 +1,24 @@
 """Brute-force grid oracle over mutable base scores.
 
-Ground truth for tiny instances: enumerates every grid assignment to the
+Ground truth for tiny instances: the cheapest grid assignment to the
 mutable set (each argument's candidates are the grid points plus its
-current score, so "leave unchanged" is always available) and reports the
-cheapest assignment that satisfies the ordering; an assignment that leaves a
-topic's strength undefined does not satisfy it (OrderingRule.evaluate), and
-other arguments' strengths do not count. Explicit grid bounds must lie in
-the semantics domain. The enumeration streams in C order over fixed-width
-column chunks, each evaluated as one batch on the one compiled plan, keeping
-a running minimum and its tie-break, so memory stays bounded by the chunk
-width whatever the grid size. A call counts the grid, and enforces its cap,
-before any grid value is made; it then allocates its batch and the level
-pass's buffers once. Each chunk fills the mutable rows in place from the C
-order pattern, without division: an axis whose period (its size times the
-later axes' sizes) spans at most two chunks copies a window of that
-pattern, tiled once per call, and a longer one writes its few constant runs
-as slices. The chunk is then evaluated into the same memory. Certification
-reads the same stream and stops at the first chunk that refutes the change.
-Deliberately unscalable in time; the caps on the mutable set and the number
-of assignments keep the enumeration honest.
+current score, so "leave unchanged" is always available) that satisfies the
+ordering; an assignment that leaves a topic's strength undefined does not
+satisfy it (OrderingRule.evaluate). Explicit grid bounds must lie in the
+semantics domain. On an acyclic graph under a monotone semantics
+(semantics.is_monotone) a branch and bound over index boxes prunes the grid
+first: a box whose interval bounds put a required topic pair apart is
+refuted, and one whose least change amount is above the running minimum
+(or the bound that decides a certification) is never evaluated. Other
+configurations stream the whole grid as one box. Each box streams in C
+order over fixed-width column chunks, each evaluated as one batch on the
+one compiled plan into buffers allocated once per call, keeping a running
+minimum and its tie-break, so the answer is the whole grid's and memory
+stays bounded by the chunk width. A call counts the grid, and enforces its
+cap, before any grid value is made. Certification reads the same stream
+and stops at the first chunk that refutes the change. Deliberately
+unscalable in time; the caps on the mutable set and the number of
+assignments keep the enumeration honest.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .explanation import ExplanationQuery, OrderingRule, StrengthChange, amount_of_change
-from .semantics import PassBuffers, check_scores_in_domain, compile_graph
+from .semantics import PassBuffers, check_scores_in_domain, compile_graph, interval_pass, is_monotone
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class GridSpec:
 class OracleResult:
     best: StrengthChange | None
     best_norm: float  # inf when no explanation exists on the grid
-    exhaustive: bool  # False when the stream stopped before the last chunk
+    exhaustive: bool  # True once the whole grid is decided: evaluated, refuted or too costly
     points: int  # grid assignments evaluated
 
 
@@ -116,13 +116,18 @@ def _axis_fill(values: np.ndarray, inner: int, chunk: int):
     """fill(row, start): write to `row` the values of one mutable axis at
     stream positions start, start + 1, ...; in C order position t holds
     values[(t // inner) % len(values)], where inner is the product of the
-    later axes' sizes. A short period (at most two chunks) is tiled once, so
+    later axes' sizes. A period that divides the chunk width (every axis of
+    a box that fits in one chunk) is written whole, by one broadcast
+    assignment. Another short period (at most two chunks) is tiled once, so
     that each chunk copies one window of it; a long one has few constant
     runs per chunk, written as slices (full runs up to a wrap as one
     broadcast assignment)."""
     size = len(values)
     period = inner * size
-    if period <= 2 * chunk:
+    if chunk % period == 0:
+        def fill(row, start):
+            row.reshape(-1, size, inner)[...] = values[:, None]
+    elif period <= 2 * chunk:
         tiled = np.tile(np.repeat(values, inner), -(-(period + chunk) // period))
 
         def fill(row, start):
@@ -147,13 +152,73 @@ def _axis_fill(values: np.ndarray, inner: int, chunk: int):
     return fill
 
 
-def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iterator[OracleResult]:
-    """Stream the grid in C order, `_chunk_width` columns at a time; after
-    each chunk, yield the best assignment among those evaluated so far
-    (`exhaustive` once the grid is done). A chunk's winners at the running
-    minimum join the tie-break, so the answer is the whole grid's. The
-    buffers belong to this call; a short last chunk views a prefix of them.
-    The grid is counted, and the cap enforced, before any of it is made."""
+# A box is refuted only where the bounds of a required pair are apart by
+# more than rounding can move them: _MARGIN * (1 + |upper bound|).
+_MARGIN = 1e-9
+
+
+def _surviving_boxes(plan, spec, pairs: tuple, candidates: list, rows: list, chunk: int,
+                     bound: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branch and bound from the whole grid: the index boxes that may hold
+    an explanation whose change amount is at most `bound`, as (starts,
+    stops, least): per box and axis its first and past-the-end candidate
+    indices, and per box its least change amount. A box is refuted where
+    its interval_pass bounds put one of the required topic `pairs`
+    (OrderingRule.required) apart, dropped where its least change amount is
+    above `bound`, and halved on its widest axis while it holds more than
+    `chunk` points. Each level goes through interval_pass in batches of
+    chunk // 2 boxes. Survivors come cheapest first, then in C order of
+    their first corners, so that a stream soon finds a cheap explanation,
+    which drops the boxes above it."""
+    first, second = pairs
+    shape = np.array([[len(c) for c in candidates]], dtype=np.intp)
+    starts, stops, found = np.zeros_like(shape), shape, []
+    batch = max(1, chunk // 2)
+    while True:
+        low = [c[a] for c, a in zip(candidates, starts.T)]
+        high = [c[b - 1] for c, b in zip(candidates, stops.T)]
+        least = np.zeros(len(starts))  # summed over the axes in order, as the stream sums change amounts
+        for lo_j, hi_j, tau_a in zip(low, high, plan.tau[rows]):
+            np.add(least, np.abs(np.minimum(np.maximum(tau_a, lo_j), hi_j) - tau_a), out=least)
+        alive = least <= bound
+        for k in range(0, len(starts), batch):
+            lo = np.repeat(plan.tau[:, None], min(batch, len(starts) - k), axis=1)
+            hi = lo.copy()
+            for row, lo_j, hi_j in zip(rows, low, high):
+                lo[row], hi[row] = lo_j[k : k + batch], hi_j[k : k + batch]
+            lo, hi = interval_pass(plan, spec, lo, hi)
+            apart = lo[first] > hi[second] + _MARGIN * (1.0 + np.abs(hi[second]))
+            alive[k : k + batch] &= ~apart.any(axis=0)
+        sizes = stops - starts
+        leaf = alive & (sizes.prod(axis=1) <= chunk)
+        found.append((starts[leaf], stops[leaf], least[leaf]))
+        split = alive & ~leaf
+        if not split.any():
+            break
+        starts, stops, sizes = starts[split], stops[split], sizes[split]
+        box, axis = np.arange(len(starts)), sizes.argmax(axis=1)
+        mid = starts[box, axis] + sizes[box, axis] // 2
+        left, right = stops.copy(), starts.copy()
+        left[box, axis] = right[box, axis] = mid
+        starts, stops = np.concatenate((starts, right)), np.concatenate((left, stops))
+    starts, stops, least = (np.concatenate(part) for part in zip(*found))
+    dims = shape[0].tolist()
+    order = np.lexsort((starts @ np.array([math.prod(dims[j + 1 :]) for j in range(len(dims))], dtype=np.intp), least))
+    return starts[order], stops[order], least[order]
+
+
+def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str,
+                     bound: float = math.inf) -> Iterator[OracleResult]:
+    """Stream the grid box by box, each in C order, `_chunk_width` columns
+    at a time; after each chunk, yield the best assignment among those
+    evaluated so far, and at the end the whole grid's (`exhaustive`). The
+    boxes are _surviving_boxes' on an acyclic plan under a monotone
+    semantics, else the whole grid. A box is skipped when its least change
+    amount is above the running minimum or `bound` (none of its points can
+    be the answer, or change a certification's verdict); ties are kept, and
+    a chunk's winners at the running minimum join the tie-break. The buffers
+    belong to this call; a narrower chunk views a prefix of them. The grid
+    is counted, and the cap enforced, before any of it is made."""
     g = query.graph
     spec = query.semantics
     m_ids = sorted(query.mutable)
@@ -174,40 +239,52 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str) -> Iter
     values = _grid_values(grid, spec.domain) if m_ids else None
     candidates = [values if on else np.sort(np.append(values, tau_a)) for on, tau_a in zip(on_grid, tau_m)]
     rows = [plan.index[a] for a in m_ids]
-    best_norm, best_entries = float("inf"), None
     chunk = _chunk_width(plan.n, total)
-    inner = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
-    fills = [_axis_fill(vals, p, chunk) for vals, p in zip(candidates, inner)]
+    if plan.acyclic and is_monotone(plan, spec):
+        boxes = _surviving_boxes(plan, spec, rule.required(mode), candidates, rows, chunk, bound)
+    else:
+        boxes = (np.zeros((1, len(shape)), dtype=np.intp), np.array([shape]), np.zeros(1))
+    best_norm, best_entries, best, done = float("inf"), None, None, 0
     buffers, memory = PassBuffers(plan, chunk), np.empty(plan.n * chunk)
+    narrowed = {chunk: buffers}
     norms, terms = np.empty((2, chunk))
     width = 0
-    for start in range(0, total, chunk):
-        if width != min(chunk, total - start):  # the first chunk, and a short last one
-            width = min(chunk, total - start)
-            batch = memory[: plan.n * width].reshape(plan.n, width)
-            batch[...] = plan.tau[:, None]
-            narrow = buffers if width == chunk else buffers.narrowed(width)
-            norm, term = norms[:width], terms[:width]
-        for row, fill in zip(rows, fills):
-            fill(batch[row], start)
-        sigma, undefined = rule.evaluate(plan, spec, batch, narrow)
-        ok = rule.holds(sigma, mode) & ~undefined.any(axis=0)
-        if ok.any():
-            norm.fill(0.0)  # the change amount: |batch[row] - tau| summed over the mutable rows in order
-            for row, tau_a in zip(rows, tau_m):
-                np.add(norm, np.abs(np.subtract(batch[row], tau_a, out=term), out=term), out=norm)
-            np.copyto(norm, np.inf, where=~ok)
-            chunk_norm = float(norm.min())
-            if chunk_norm <= best_norm:
-                chunk_entries = min(
-                    [(a, float(batch[row, col])) for a, row in zip(m_ids, rows) if batch[row, col] != g.base_scores[a]]
-                    for col in np.flatnonzero(norm == chunk_norm)
-                )
-                if chunk_norm < best_norm or chunk_entries < best_entries:
-                    best_norm, best_entries = chunk_norm, chunk_entries
-        done = start + width
-        best = None if best_entries is None else StrengthChange(dict(best_entries))
-        yield OracleResult(best, best_norm, done == total, done)
+    for begin, end, least in zip(*(part.tolist() for part in boxes)):
+        if least > min(best_norm, bound):
+            continue
+        sizes = [b - a for a, b in zip(begin, end)]
+        box_total = math.prod(sizes)
+        fills = [_axis_fill(c[a:b], math.prod(sizes[j + 1 :]), min(chunk, box_total))
+                 for j, (c, a, b) in enumerate(zip(candidates, begin, end))]
+        for start in range(0, box_total, chunk):
+            if width != min(chunk, box_total - start):  # a new width: view the memory at it
+                width = min(chunk, box_total - start)
+                batch = memory[: plan.n * width].reshape(plan.n, width)
+                batch[...] = plan.tau[:, None]
+                if width not in narrowed:
+                    narrowed[width] = buffers.narrowed(width)
+                narrow, norm, term = narrowed[width], norms[:width], terms[:width]
+            for row, fill in zip(rows, fills):
+                fill(batch[row], start)
+            sigma, undefined = rule.evaluate(plan, spec, batch, narrow)
+            ok = rule.holds(sigma, mode) & ~undefined.any(axis=0)
+            if ok.any():
+                norm.fill(0.0)  # the change amount: |batch[row] - tau| summed over the mutable rows in order
+                for row, tau_a in zip(rows, tau_m):
+                    np.add(norm, np.abs(np.subtract(batch[row], tau_a, out=term), out=term), out=norm)
+                np.copyto(norm, np.inf, where=~ok)
+                chunk_norm = float(norm.min())
+                if chunk_norm <= best_norm:
+                    chunk_entries = min(
+                        [(a, float(batch[row, col])) for a, row in zip(m_ids, rows) if batch[row, col] != g.base_scores[a]]
+                        for col in np.flatnonzero(norm == chunk_norm)
+                    )
+                    if chunk_norm < best_norm or chunk_entries < best_entries:
+                        best_norm, best_entries = chunk_norm, chunk_entries
+                        best = StrengthChange(dict(best_entries))
+            done += width
+            yield OracleResult(best, best_norm, False, done)
+    yield OracleResult(best, best_norm, True, done)
 
 
 def brute_force_search(query: ExplanationQuery, grid: GridSpec | None = None, mode: str = "weak") -> OracleResult:
@@ -235,15 +312,16 @@ def certify_epsilon(
     when either no explanation at all can be cheaper (norm(change) <=
     epsilon) or the exhaustive grid minimum clears the discretization bound
     norm(change) - epsilon + |mutable| * step; "unknown" in between. The
-    bound is conservative: finer grids turn unknowns into answers.
+    bound is conservative: finer grids turn unknowns into answers. Points
+    whose change amount is above it cannot move the verdict, and boxes of
+    them are not evaluated.
     """
     grid = grid or GridSpec()
     norm = amount_of_change(query.graph, change)
     if norm <= epsilon:
         return "yes"
-    for result in _running_minimum(query, grid, mode):
+    bound = norm - epsilon + len(query.mutable) * grid.step
+    for result in _running_minimum(query, grid, mode, bound):
         if result.best is not None and result.best_norm < norm - epsilon:
             return "no"
-    if result.exhaustive and result.best_norm >= norm - epsilon + len(query.mutable) * grid.step:
-        return "yes"
-    return "unknown"
+    return "yes" if result.best_norm >= bound else "unknown"

@@ -396,6 +396,51 @@ def _blocks_pass(blocks: tuple, views: tuple, spec: SemanticsSpec, tau, src, out
             out[rows] = result
 
 
+def is_monotone(plan: GraphPlan, spec: SemanticsSpec) -> bool:
+    """Whether every strength on the acyclic `plan` rises with each base
+    score and supporter and falls with each attacker over the whole domain,
+    so that interval_pass encloses a box's strengths. Both aggregations are
+    monotone while strengths stay in [0, 1]; sum + additive is everywhere.
+    Over [0, 1], euler_based and p_max rise in w and s and stay in [0, 1];
+    linear(k) does so while |aggregate| <= k: k >= 1 under product, and
+    k >= the largest in-degree under sum."""
+    inf = spec.influence
+    if inf.kind == "additive":
+        return spec.aggregation == "sum"
+    if not (spec.domain.lower >= 0.0 and spec.domain.upper <= 1.0):
+        return False
+    if inf.kind != "linear":
+        return True
+    if spec.aggregation == "product":
+        return inf.k >= 1.0
+    return inf.k >= max((int(np.count_nonzero(w, axis=1).max()) for _, _, w, *_ in plan.blocks if w.size), default=0)
+
+
+def interval_pass(plan: GraphPlan, spec: SemanticsSpec, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, bounds on the strengths of every column of base scores
+    between `lo` and `hi` (n_arguments x batch each): one forward pass over
+    the blocks of the acyclic `plan` in which a block reads its attackers at
+    the opposite bound and its supporters at the same bound. The bounds hold,
+    up to rounding, where is_monotone(plan, spec). Both bounds go through
+    one batch of twice the width, lower bounds first; each step allocates."""
+    width, inf = lo.shape[1], spec.influence
+    swap = np.r_[width : 2 * width, :width]  # each column's other bound
+    tau = np.concatenate((lo, hi), axis=1)
+    sigma = np.empty_like(tau)
+    for rows, cols, w, att, supp in plan.blocks:
+        if not w.size:
+            sigma[rows] = _parentless(inf, tau[rows], None, None, None)
+            continue
+        gathered = sigma[cols]
+        if spec.aggregation == "sum":
+            agg = np.matmul(supp, gathered) - np.matmul(att, gathered)[:, swap]
+        else:  # products of factors 1 - s fall as the strengths rise
+            drop, gain = _factor_products(att, supp, 1.0 - gathered, None, None)
+            agg = drop[:, swap] - gain
+        sigma[rows] = _apply_influence(inf, tau[rows], agg)
+    return sigma[:, :width], sigma[:, width:]
+
+
 def _fixed_point(
     plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray, buffers: PassBuffers
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -470,8 +515,9 @@ def _sweep_core(block: tuple, view: tuple, spec: SemanticsSpec, tau, sigma, stat
                 active = ~settled if active is None else np.logical_and(active, ~settled, out=active)
                 if not active.item(active.argmax()):
                     break
-    else:  # max_sweeps ran out
-        unstable = delta >= eps if active is None else (delta >= eps) & active
+    else:  # max_sweeps ran out; a NaN change is not below epsilon, so it counts as moving
+        moving = ~(delta < eps)
+        unstable = moving if active is None else moving & active
     sigma[rows] = x
     return unstable
 

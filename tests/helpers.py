@@ -236,7 +236,7 @@ def fixed_point_reference(plan, spec, tau):
         if settled.all():
             break
     unstable = np.zeros(tau.shape, dtype=bool)
-    unstable[rows] = (delta >= spec.epsilon) & ~settled
+    unstable[rows] = ~(delta < spec.epsilon) & ~settled  # a NaN change counts as moving
     sigma[rows] = x
     blocks_pass_reference(plan.blocks[k + 1 :], spec, tau, sigma, sigma)
     return sigma, sweep, unstable

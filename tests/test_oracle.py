@@ -12,7 +12,7 @@ from qbagx.errors import BudgetError, DomainError
 
 import qbagx.explanation
 from qbagx.oracle import _grid_count, _grid_values, _on_grid
-from qbagx.semantics import compile_graph
+from qbagx.semantics import compile_graph, is_monotone
 
 from helpers import (
     brute_force_reference,
@@ -22,6 +22,10 @@ from helpers import (
     grid_fill_reference,
     random_tiny_query,
 )
+
+# Linear influence over the reals is not monotone (semantics.is_monotone): the
+# oracle streams its whole grid, in chunks, as it does on cyclic graphs.
+UNPRUNED = q.SemanticsSpec("sum", q.Influence("linear", k=1.0), q.NAIVE.domain, acyclic_only=True, name="unpruned")
 
 
 def test_grid_best_running_example_exact_mode():
@@ -197,7 +201,8 @@ def test_streamed_oracle_matches_single_batch_reference(monkeypatch):
             best, best_norm, winners = brute_force_reference(query, grid, mode)
             result = q.brute_force_search(query, grid, mode)
             assert (result.best, result.best_norm) == (best, best_norm), (query, mode)
-            assert result.exhaustive and result.points == math.prod(map(len, grid_candidates(query, grid)))
+            # pruned boxes are decided without evaluating their points
+            assert result.exhaustive and result.points <= math.prod(map(len, grid_candidates(query, grid)))
             split_groups += len(set(winners // 7)) > 1
     assert split_groups >= 10
 
@@ -237,6 +242,9 @@ def test_exact_mode_witnesses_are_exact_explanations():
 
 
 def test_oracle_batches_stay_within_one_chunk(monkeypatch):
+    """The whole grid streams in chunks where it is not pruned (linear
+    influence over the reals is not monotone); under naive, a monotone
+    semantics, each surviving box streams as one batch of at most a chunk."""
     widths = []
     evaluate = qbagx.explanation.evaluate_matrix
 
@@ -246,7 +254,7 @@ def test_oracle_batches_stay_within_one_chunk(monkeypatch):
 
     monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
     grid = q.GridSpec(step=0.125, lower=0.0, upper=4.0)  # 33 values, each base score among them
-    query = fig_query(mutable=("a", "d", "e"))
+    query = dataclasses.replace(fig_query(mutable=("a", "d", "e")), semantics=UNPRUNED)
     result = q.brute_force_search(query, grid)
     assert result.points == 33 ** 3 > qbagx.oracle._CHUNK
     assert len(widths) > 1
@@ -258,13 +266,23 @@ def test_oracle_batches_stay_within_one_chunk(monkeypatch):
     assert width == qbagx.oracle._CHUNK_CELLS // n
     assert widths[:-1] == [width] * (len(widths) - 1) and 0 < widths[-1] <= width
 
+    widths.clear()
+    result = q.brute_force_search(fig_query(mutable=("a", "d", "e")), grid)
+    assert 0 < result.points < 33 ** 3 and sum(widths) == result.points
+    assert len(widths) > 1 and max(widths) <= width
 
-def test_oracle_chunks_after_the_first_allocate_less_than_one_batch():
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_oracle_chunks_after_the_first_allocate_less_than_one_batch(pruned):
     """The stream allocates its batch and buffers for the first chunk; each
     later chunk, the short last one included, allocates less than one
-    n x width float array (tracemalloc sees numpy's data allocations)."""
-    inst = q.generate(q.GenSpec(q.structure((4, 4, 2)), "random", 41))
-    query = q.ExplanationQuery(inst.graph, q.DFQUAD, frozenset(inst.layers[0]), inst.ordering)
+    n x width float array (tracemalloc sees numpy's data allocations).
+    Unpruned: sum + linear(1) at in-degree 4 is not monotone, so the whole
+    grid streams in chunks. Pruned: DF-QuAD streams the surviving boxes,
+    one batch each, and refutes the others (this grid holds no explanation)."""
+    inst = q.generate(q.GenSpec(q.structure((4, 4, 2)), "random", 1 if pruned else 41))
+    spec = q.DFQUAD if pruned else q.SemanticsSpec("sum", q.Influence("linear", k=1.0))
+    query = q.ExplanationQuery(inst.graph, spec, frozenset(inst.layers[0]), inst.ordering)
     stream = qbagx.oracle._running_minimum(query, q.GridSpec(step=0.1), "weak")  # 12^4 assignments
     tracemalloc.start()
     try:
@@ -275,9 +293,13 @@ def test_oracle_chunks_after_the_first_allocate_less_than_one_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n, width = len(query.graph.arguments), first.points
-    assert first.best is not None and rest[-1].exhaustive and rest[-1].points == 12 ** 4
-    assert len(rest) >= 5 and rest[-1].points - rest[-2].points < width  # a short last chunk
+    n, width = len(query.graph.arguments), qbagx.oracle._chunk_width(len(query.graph.arguments), 12 ** 4)
+    assert first.points <= width and len(rest) >= 3 and rest[-1].exhaustive and not rest[-2].exhaustive
+    if pruned:
+        assert 0 < rest[-1].points < 12 ** 4
+    else:
+        assert first.points == width and len(rest) >= 5 and rest[-1].points == 12 ** 4
+        assert rest[-2].points - rest[-3].points < width  # a short last chunk
     assert peak - before < n * width * 8
 
 
@@ -285,7 +307,8 @@ def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
     """Every chunk's batch equals the divmod fill, for 1 to 4 mutable
     arguments with candidate lists of unequal length (b's own score is off
     the grid), for chunk widths below and above each axis period (9, 81,
-    810, 7,290 with all four), and for short last chunks."""
+    810, 7,290 with all four), and for short last chunks, where the whole
+    grid streams. Where it is pruned, each batch is the divmod fill of its box."""
     batches = []
     evaluate = qbagx.explanation.evaluate_matrix
 
@@ -296,7 +319,7 @@ def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
     monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
     grid = q.GridSpec(step=0.5, lower=0.0, upper=4.0)  # 9 values; b's score 8 makes 10
     for mutable in (("e",), ("b",), ("b", "e"), ("a", "b", "e"), ("a", "b", "d", "e")):
-        query = fig_query(mutable)
+        query = dataclasses.replace(fig_query(mutable), semantics=UNPRUNED)  # the whole grid streams
         plan = compile_graph(query.graph)
         candidates = grid_candidates(query, grid)
         total = math.prod(map(len, candidates))
@@ -313,6 +336,21 @@ def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
                 assert np.array_equal(batch.view(np.uint64), want.view(np.uint64)), (mutable, chunk, start)
                 start += batch.shape[1]
     assert sorted(map(len, candidates)) == [9, 9, 9, 10]
+
+    # pruned (naive is monotone): each batch is one surviving box, a run of
+    # each axis's candidates, filled in C order
+    monkeypatch.setattr(qbagx.oracle, "_CHUNK", 500)
+    batches.clear()
+    result = q.brute_force_search(fig_query(mutable), grid)
+    assert result.points == sum(b.shape[1] for b in batches) < total and len(batches) > 1
+    for batch in batches:
+        box = [np.unique(batch[row]) for row in rows]
+        for values, axis in zip(box, candidates):
+            first = int(np.searchsorted(axis, values[0]))
+            assert np.array_equal(axis[first : first + len(values)], values)
+        want = np.repeat(plan.tau[:, None], batch.shape[1], axis=1)
+        want[rows] = grid_fill_reference(box, 0, batch.shape[1])
+        assert np.array_equal(batch.view(np.uint64), want.view(np.uint64))
 
 
 def test_on_grid_agrees_with_the_grid_values():
@@ -345,9 +383,104 @@ def test_the_grid_is_counted_before_any_of_it_is_made():
             if raises:
                 with pytest.raises(BudgetError, match="exceed the cap"):
                     q.brute_force_search(query, grid)
-            else:
-                assert q.brute_force_search(query, grid).points == 1
+            else:  # the one assignment, the base scores, is refuted by its bounds: b is stronger than c
+                assert q.brute_force_search(query, grid).points == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (mutable, peak)
+
+
+# Monotone configurations (semantics.is_monotone), whose grids are pruned
+MONOTONE = (q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY,
+            q.SemanticsSpec("product", q.Influence("linear", k=2.0)),
+            q.SemanticsSpec("sum", q.Influence("linear", k=6.0)))  # tiny graphs have in-degree <= 5
+
+
+def test_pruned_oracle_matches_the_reference(monkeypatch):
+    """On random acyclic queries under monotone semantics, with base scores
+    off the grid, the pruned oracle gives the one-batch reference's answer
+    in weak and exact mode: for the drawn mutable set, the same set plus a
+    topic, and the empty set; for the drawn tiers and with the two lowest
+    merged into one (a same-tier pair); on grids with and without an
+    explanation."""
+    monkeypatch.setattr(qbagx.oracle, "_CHUNK", 64)  # many boxes per grid
+    grid = q.GridSpec(step=0.25)
+    seen = dict.fromkeys(("found", "none", "pruned", "refuted", "mutable topic", "empty", "tied"), 0)
+    for seed in range(30):
+        query = random_tiny_query(seed, MONOTONE[seed % len(MONOTONE)])
+        assert is_monotone(compile_graph(query.graph), query.semantics)
+        topic = min(query.ordering.topic_set - query.mutable, default=None)
+        low, next_up, *rest = query.ordering.tiers
+        tied = q.ordering_from_tiers([sorted(low | next_up)] + [sorted(t) for t in rest])
+        for mutable, ordering in itertools.product({query.mutable, query.mutable | {topic} - {None}, frozenset()},
+                                                   (query.ordering, tied)):
+            variant = dataclasses.replace(query, mutable=mutable, ordering=ordering)
+            total = math.prod(map(len, grid_candidates(variant, grid)))
+            for mode in ("weak", "exact"):
+                best, best_norm, _ = brute_force_reference(variant, grid, mode)
+                result = q.brute_force_search(variant, grid, mode)
+                assert (result.best, result.best_norm) == (best, best_norm), (seed, sorted(mutable), mode)
+                assert result.exhaustive and result.points <= total
+                seen["found" if best is not None else "none"] += 1
+                seen["pruned"] += result.points < total
+                seen["refuted"] += result.points == 0
+                seen["mutable topic"] += bool(mutable & query.ordering.topic_set)
+                seen["empty"] += not mutable
+                seen["tied"] += ordering is tied and mode == "exact" and result.points < total
+    assert min(seen.values()) >= 10, seen
+
+
+def test_configurations_outside_the_monotonicity_condition_evaluate_every_point():
+    """product + linear(0.5) leaves [0, 1] and sum + linear(1) at in-degree 2
+    is not monotone in w, so their grids stream whole; sum + linear(2) at
+    in-degree 2 is monotone and pruned."""
+    g = q.make_qbag({"a": 0.9, "b": 0.8, "c": 0.3, "d": 0.6}, attacks=[("a", "c")], supports=[("b", "c")])
+    ordering = q.ordering_from_tiers([["d"], ["c"]])
+    grid = q.GridSpec(step=1 / 31)  # 32 values, plus each score: 33^3 assignments, over two chunks
+    for spec, pruned in ((q.SemanticsSpec("product", q.Influence("linear", k=0.5)), False),
+                         (q.SemanticsSpec("sum", q.Influence("linear", k=1.0)), False),
+                         (q.SemanticsSpec("sum", q.Influence("linear", k=2.0)), True)):
+        query = q.ExplanationQuery(g, spec, frozenset({"a", "b", "d"}), ordering)
+        assert is_monotone(compile_graph(g), spec) == pruned
+        for mode in ("weak", "exact"):
+            best, best_norm, _ = brute_force_reference(query, grid, mode)
+            result = q.brute_force_search(query, grid, mode)
+            assert (result.best, result.best_norm) == (best, best_norm)
+            assert (result.points < 33 ** 3) == pruned, (spec, mode, result.points)
+
+
+# The exact workload's certification queries (4,4,2, DF-QuAD, the first
+# layer mutable) of its seeds 1, 3, 7, 11, 13, 17, 29 and 41: graph seed,
+# the verdict on the default search's change (None: the search found none),
+# and the weak grid minimum, as the whole-grid stream gave them.
+CERTIFICATIONS = (
+    (1842777902, "no", 0.989434718745821),  # seed 1
+    (1549821304, "no", 0.3469187375006977),  # seed 1
+    (979541209, None, 2.61833887025271),  # seed 3
+    (888343946, None, 0.8569885057329757),  # seed 3
+    (1946952343, None, math.inf),  # seed 7
+    (1479424821, "no", 0.16300651928700105),  # seed 7
+    (1953312052, "unknown", 2.497914300316987),  # seed 11
+    (209547466, "no", 1.004911257496294),  # seed 11
+    (321462755, "no", 1.3892765187453802),  # seed 13
+    (37038720, None, math.inf),  # seed 13
+    (922949972, "no", 0.028656025380969424),  # seed 17
+    (990437246, "unknown", 1.4868038254620268),  # seed 17
+    (910613783, None, 1.229432380493388),  # seed 29
+    (1575395300, "no", 0.9248735342222844),  # seed 29
+    (1529732588, None, math.inf),  # seed 41
+    (1311974981, None, 2.005799285793143),  # seed 41
+)
+
+
+def test_pruned_certifications_match_the_whole_grid_stream():
+    grid = q.GridSpec(step=1 / 31, lower=0.0, upper=1.0)  # 33^4 assignments
+    for graph_seed, verdict, best_norm in CERTIFICATIONS:
+        inst = q.generate(q.GenSpec(q.structure((4, 4, 2)), "random", graph_seed))
+        query = q.ExplanationQuery(inst.graph, q.DFQUAD, frozenset(inst.layers[0]), inst.ordering)
+        outcome = q.heuristic_search(query)
+        assert (q.certify_epsilon(query, outcome.change, 0.01, grid) if outcome.found else None) == verdict
+        result = q.brute_force_search(query, grid)
+        assert result.best_norm == best_norm and result.points < 33 ** 4, graph_seed
+        assert result.best is None or q.is_explanation(query, result.best, "weak")

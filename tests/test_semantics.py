@@ -144,6 +144,45 @@ def test_cyclic_nonconvergent_marks_undefined_and_downstream():
     assert sigma["w"] == 0.4  # untouched component stays defined
 
 
+def test_a_nan_fixed_point_is_undefined():
+    """sum + linear(0.01) drives the support loop x <-> y to inf and then to
+    NaN, whose change is never below epsilon: x, y and z, which y supports,
+    are undefined (they used to come out defined as NaN). In a batch, the
+    column whose loop starts at 0 settles and stays defined."""
+    spec = q.SemanticsSpec("sum", Influence("linear", k=0.01), max_sweeps=2000)
+    g = q.make_qbag({"x": 0.5, "y": 0.5, "z": 0.5}, supports=[("x", "y"), ("y", "x"), ("y", "z")])
+    with np.errstate(all="ignore"):
+        assert q.final_strengths(g, spec) == {"x": None, "y": None, "z": None}
+        plan = compile_graph(g)
+        columns = {"x": [0.5, 0.0, 0.5], "y": [0.5, 0.0, 0.5], "z": [0.5, 0.5, 0.5]}
+        _, defined = evaluate_matrix(plan, spec, np.array([columns[a] for a in plan.ids]))
+    assert defined.tolist() == [[False, True, False]] * 3
+
+
+def test_interval_pass_encloses_every_strength_in_a_box():
+    """Under monotone semantics, the interval pass's bounds on a box of base
+    scores hold the strengths of random points in it (up to rounding); a
+    box of one point is bounded by its own strengths."""
+    rng = np.random.default_rng(0)
+    specs = (q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY, q.NAIVE,
+             q.SemanticsSpec("sum", Influence("linear", k=6.0)))  # random_dag has in-degree <= 5
+    for seed in range(20):
+        g, _, _ = random_dag(seed)
+        plan = compile_graph(g)
+        for spec in specs:
+            assert semantics.is_monotone(plan, spec)
+            lo, hi = np.sort(rng.random((2, plan.n, 6)) * (3.0 if spec is q.NAIVE else 1.0), axis=0)
+            lo[:, 0] = hi[:, 0]
+            low, high = semantics.interval_pass(plan, spec, lo, hi)
+            points = lo[:, :, None] + rng.random((plan.n, 6, 40)) * (hi - lo)[:, :, None]
+            sigma, _ = evaluate_matrix(plan, spec, points.reshape(plan.n, -1))
+            sigma = sigma.reshape(plan.n, 6, 40)
+            assert (low[:, :, None] - 1e-12 <= sigma).all() and (sigma <= high[:, :, None] + 1e-12).all()
+            one, _ = evaluate_matrix(plan, spec, lo[:, :1])
+            np.testing.assert_allclose(low[:, 0], one[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(high[:, 0], one[:, 0], rtol=0, atol=1e-12)
+
+
 def test_nonconvergent_batch_marks_what_each_column_reaches():
     # a layered graph with one back edge, under sum + linear(1): after 50
     # sweeps some columns still move somewhere and some have settled

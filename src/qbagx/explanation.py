@@ -35,7 +35,7 @@ from .errors import (
     UndefinedStrengthError,
     UnknownArgumentError,
 )
-from .graph import QBAG, reject_constant
+from .graph import QBAG, _checked_scores, reject_constant
 from .semantics import SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix, final_strengths
 
 
@@ -80,9 +80,10 @@ def ordering_from_json(data: str | bytes) -> DesiredOrdering:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid ordering JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"tiers"} or not isinstance(doc["tiers"], list):
-        raise GraphFormatError('ordering document must be {"tiers": [[...], ...]}')
-    return ordering_from_tiers(doc["tiers"])
+    tiers = doc["tiers"] if isinstance(doc, dict) and set(doc) == {"tiers"} else None
+    if not (type(tiers) is list and all(type(t) is list and all(type(x) is str and x for x in t) for t in tiers)):
+        raise GraphFormatError('ordering document must be {"tiers": [[id, ...], ...]} with non-empty string ids')
+    return ordering_from_tiers(tiers)
 
 
 def ordering_from_spec(text: str) -> DesiredOrdering:
@@ -135,9 +136,9 @@ def change_from_json(data: str | bytes) -> StrengthChange:
         raise GraphFormatError(f"invalid strength change JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"changes"} or not isinstance(doc["changes"], dict):
         raise GraphFormatError('strength change document must be {"changes": {...}}')
-    try:
-        return StrengthChange({str(k): float(v) for k, v in doc["changes"].items()})
-    except (TypeError, ValueError, InvalidChangeError) as exc:
+    try:  # as base scores: non-empty string ids, finite real values (a bool or a string is neither)
+        return StrengthChange(_checked_scores(doc["changes"]))
+    except OverflowError as exc:  # an integer too large for a float
         raise GraphFormatError(f"bad strength change entry: {exc}") from exc
 
 

@@ -5,25 +5,25 @@ mutable set (each argument's candidates are the grid points plus its
 current score, so "leave unchanged" is always available) that satisfies the
 ordering; an assignment that leaves a topic's strength undefined does not
 satisfy it (OrderingRule.evaluate). Explicit grid bounds must lie in the
-semantics domain. On an acyclic graph under a monotone semantics
-(semantics.is_monotone) a branch and bound over index boxes prunes the grid
-first: a box whose interval bounds put a required topic pair apart is
-refuted, and one whose least change amount is above the running minimum
-(or the bound that decides a certification) is never evaluated. Other
-configurations stream the whole grid as one box. Each box streams in C
-order over fixed-width column chunks, each evaluated as one batch on the
-one compiled plan into buffers allocated once per call, keeping a running
-minimum and its tie-break, so the answer is the whole grid's and memory
-stays bounded by the chunk width. A call counts the grid, and enforces its
-cap, before any grid value is made. Certification reads the same stream
-and stops at the first chunk that refutes the change. Deliberately
-unscalable in time; the caps on the mutable set and the number of
-assignments keep the enumeration honest.
+semantics domain. A branch and bound over index boxes halves the grid until
+each box fits in one fixed-width column chunk; a box whose least change
+amount is above the running minimum (or the bound that decides a
+certification) is never evaluated, and on an acyclic graph under a monotone
+semantics (semantics.is_monotone) a box whose interval bounds put a required
+topic pair apart is refuted. The boxes stream cheapest first, each filled in
+C order and evaluated as one batch on the one compiled plan into buffers
+allocated once per call, keeping a running minimum and its tie-break, so
+the answer is the whole grid's and memory stays bounded by the chunk width.
+A call counts the grid, and enforces its cap, before any grid value is
+made. Certification reads the same stream and stops at the first box that
+refutes the change. Deliberately unscalable in time; the caps on the
+mutable set and the number of assignments keep the enumeration honest.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,12 +46,14 @@ class GridSpec:
         for bound in (self.step, self.lower, self.upper):
             if bound is not None and not math.isfinite(bound):
                 raise ValueError("grid step and bounds must be finite")
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
+        if isinstance(self.step, bool) or self.step <= 0:
+            raise ValueError(f"grid step must be a positive number, got {self.step!r}")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise ValueError("grid lower bound exceeds its upper bound")
-        if self.max_mutable < 0:
-            raise ValueError("max_mutable must be non-negative")
+        for name, least in (("max_mutable", 0), ("max_points", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,65 +114,26 @@ def _on_grid(value: float, lower: float, step: float, count: int) -> bool:
     return lo < count and lower + step * lo == value
 
 
-def _axis_fill(values: np.ndarray, inner: int, chunk: int):
-    """fill(row, start): write to `row` the values of one mutable axis at
-    stream positions start, start + 1, ...; in C order position t holds
-    values[(t // inner) % len(values)], where inner is the product of the
-    later axes' sizes. A period that divides the chunk width (every axis of
-    a box that fits in one chunk) is written whole, by one broadcast
-    assignment. Another short period (at most two chunks) is tiled once, so
-    that each chunk copies one window of it; a long one has few constant
-    runs per chunk, written as slices (full runs up to a wrap as one
-    broadcast assignment)."""
-    size = len(values)
-    period = inner * size
-    if chunk % period == 0:
-        def fill(row, start):
-            row.reshape(-1, size, inner)[...] = values[:, None]
-    elif period <= 2 * chunk:
-        tiled = np.tile(np.repeat(values, inner), -(-(period + chunk) // period))
-
-        def fill(row, start):
-            offset = start % period
-            row[...] = tiled[offset : offset + len(row)]
-    else:
-        def fill(row, start):
-            width = len(row)
-            k, head = divmod(start, inner)
-            i = min(inner - head, width)
-            row[:i] = values[k % size]
-            k += 1
-            while i < width:
-                d = k % size
-                runs = min(size - d, (width - i) // inner)
-                if runs:  # whole runs before the next wrap or the chunk's end
-                    row[i : i + runs * inner].reshape(runs, inner)[...] = values[d : d + runs, None]
-                    i, k = i + runs * inner, k + runs
-                else:  # the chunk ends inside this run
-                    row[i:] = values[d]
-                    i = width
-    return fill
-
-
 # A box is refuted only where the bounds of a required pair are apart by
 # more than rounding can move them: _MARGIN * (1 + |upper bound|).
 _MARGIN = 1e-9
 
 
-def _surviving_boxes(plan, spec, pairs: tuple, candidates: list, rows: list, chunk: int,
+def _surviving_boxes(plan, spec, pairs: tuple | None, candidates: list, rows: list, chunk: int,
                      bound: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Branch and bound from the whole grid: the index boxes that may hold
     an explanation whose change amount is at most `bound`, as (starts,
     stops, least): per box and axis its first and past-the-end candidate
-    indices, and per box its least change amount. A box is refuted where
-    its interval_pass bounds put one of the required topic `pairs`
-    (OrderingRule.required) apart, dropped where its least change amount is
-    above `bound`, and halved on its widest axis while it holds more than
-    `chunk` points. Each level goes through interval_pass in batches of
+    indices, and per box its least change amount. A box is dropped where its
+    least change amount is above `bound`, refuted where its interval_pass
+    bounds put one of the required topic `pairs` (OrderingRule.required)
+    apart, and halved on its widest axis while it holds more than `chunk`
+    points. `pairs` is None where interval_pass does not enclose the
+    strengths (a cyclic plan, or one that is not is_monotone); then no box
+    is refuted. Each level goes through interval_pass in batches of
     chunk // 2 boxes. Survivors come cheapest first, then in C order of
     their first corners, so that a stream soon finds a cheap explanation,
     which drops the boxes above it."""
-    first, second = pairs
     shape = np.array([[len(c) for c in candidates]], dtype=np.intp)
     starts, stops, found = np.zeros_like(shape), shape, []
     batch = max(1, chunk // 2)
@@ -181,12 +144,13 @@ def _surviving_boxes(plan, spec, pairs: tuple, candidates: list, rows: list, chu
         for lo_j, hi_j, tau_a in zip(low, high, plan.tau[rows]):
             np.add(least, np.abs(np.minimum(np.maximum(tau_a, lo_j), hi_j) - tau_a), out=least)
         alive = least <= bound
-        for k in range(0, len(starts), batch):
+        for k in range(0, len(starts) if pairs else 0, batch):
             lo = np.repeat(plan.tau[:, None], min(batch, len(starts) - k), axis=1)
             hi = lo.copy()
             for row, lo_j, hi_j in zip(rows, low, high):
                 lo[row], hi[row] = lo_j[k : k + batch], hi_j[k : k + batch]
             lo, hi = interval_pass(plan, spec, lo, hi)
+            first, second = pairs
             apart = lo[first] > hi[second] + _MARGIN * (1.0 + np.abs(hi[second]))
             alive[k : k + batch] &= ~apart.any(axis=0)
         sizes = stops - starts
@@ -209,16 +173,16 @@ def _surviving_boxes(plan, spec, pairs: tuple, candidates: list, rows: list, chu
 
 def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str,
                      bound: float = math.inf) -> Iterator[OracleResult]:
-    """Stream the grid box by box, each in C order, `_chunk_width` columns
-    at a time; after each chunk, yield the best assignment among those
-    evaluated so far, and at the end the whole grid's (`exhaustive`). The
-    boxes are _surviving_boxes' on an acyclic plan under a monotone
-    semantics, else the whole grid. A box is skipped when its least change
-    amount is above the running minimum or `bound` (none of its points can
-    be the answer, or change a certification's verdict); ties are kept, and
-    a chunk's winners at the running minimum join the tie-break. The buffers
-    belong to this call; a narrower chunk views a prefix of them. The grid
-    is counted, and the cap enforced, before any of it is made."""
+    """Stream _surviving_boxes' boxes, each as one batch of at most
+    `_chunk_width` columns filled in C order; after each box, yield the best
+    assignment among those evaluated so far, and at the end the whole grid's
+    (`exhaustive`). Boxes are refuted only on an acyclic plan under a
+    monotone semantics. A box is skipped when its least change amount is
+    above the running minimum or `bound` (none of its points can be the
+    answer, or change a certification's verdict); ties are kept, and a box's
+    winners at the running minimum join the tie-break. The buffers belong to
+    this call; a narrower box views a prefix of them. The grid is counted,
+    and the cap enforced, before any of it is made."""
     g = query.graph
     spec = query.semantics
     m_ids = sorted(query.mutable)
@@ -240,10 +204,8 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str,
     candidates = [values if on else np.sort(np.append(values, tau_a)) for on, tau_a in zip(on_grid, tau_m)]
     rows = [plan.index[a] for a in m_ids]
     chunk = _chunk_width(plan.n, total)
-    if plan.acyclic and is_monotone(plan, spec):
-        boxes = _surviving_boxes(plan, spec, rule.required(mode), candidates, rows, chunk, bound)
-    else:
-        boxes = (np.zeros((1, len(shape)), dtype=np.intp), np.array([shape]), np.zeros(1))
+    pairs = rule.required(mode) if plan.acyclic and is_monotone(plan, spec) else None
+    boxes = _surviving_boxes(plan, spec, pairs, candidates, rows, chunk, bound)
     best_norm, best_entries, best, done = float("inf"), None, None, 0
     buffers, memory = PassBuffers(plan, chunk), np.empty(plan.n * chunk)
     narrowed = {chunk: buffers}
@@ -253,37 +215,33 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str,
         if least > min(best_norm, bound):
             continue
         sizes = [b - a for a, b in zip(begin, end)]
-        box_total = math.prod(sizes)
-        fills = [_axis_fill(c[a:b], math.prod(sizes[j + 1 :]), min(chunk, box_total))
-                 for j, (c, a, b) in enumerate(zip(candidates, begin, end))]
-        for start in range(0, box_total, chunk):
-            if width != min(chunk, box_total - start):  # a new width: view the memory at it
-                width = min(chunk, box_total - start)
-                batch = memory[: plan.n * width].reshape(plan.n, width)
-                batch[...] = plan.tau[:, None]
-                if width not in narrowed:
-                    narrowed[width] = buffers.narrowed(width)
-                narrow, norm, term = narrowed[width], norms[:width], terms[:width]
-            for row, fill in zip(rows, fills):
-                fill(batch[row], start)
-            sigma, undefined = rule.evaluate(plan, spec, batch, narrow)
-            ok = rule.holds(sigma, mode) & ~undefined.any(axis=0)
-            if ok.any():
-                norm.fill(0.0)  # the change amount: |batch[row] - tau| summed over the mutable rows in order
-                for row, tau_a in zip(rows, tau_m):
-                    np.add(norm, np.abs(np.subtract(batch[row], tau_a, out=term), out=term), out=norm)
-                np.copyto(norm, np.inf, where=~ok)
-                chunk_norm = float(norm.min())
-                if chunk_norm <= best_norm:
-                    chunk_entries = min(
-                        [(a, float(batch[row, col])) for a, row in zip(m_ids, rows) if batch[row, col] != g.base_scores[a]]
-                        for col in np.flatnonzero(norm == chunk_norm)
-                    )
-                    if chunk_norm < best_norm or chunk_entries < best_entries:
-                        best_norm, best_entries = chunk_norm, chunk_entries
-                        best = StrengthChange(dict(best_entries))
-            done += width
-            yield OracleResult(best, best_norm, False, done)
+        if width != math.prod(sizes):  # a new box width: view the memory at it
+            width = math.prod(sizes)
+            batch = memory[: plan.n * width].reshape(plan.n, width)
+            batch[...] = plan.tau[:, None]
+            if width not in narrowed:
+                narrowed[width] = buffers.narrowed(width)
+            narrow, norm, term = narrowed[width], norms[:width], terms[:width]
+        for j, (row, c, a, b) in enumerate(zip(rows, candidates, begin, end)):  # one broadcast per axis
+            batch[row].reshape(sizes)[...] = c[a:b].reshape([-1] + [1] * (len(sizes) - j - 1))
+        sigma, undefined = rule.evaluate(plan, spec, batch, narrow)
+        ok = rule.holds(sigma, mode) & ~undefined.any(axis=0)
+        if ok.any():
+            norm.fill(0.0)  # the change amount: |batch[row] - tau| summed over the mutable rows in order
+            for row, tau_a in zip(rows, tau_m):
+                np.add(norm, np.abs(np.subtract(batch[row], tau_a, out=term), out=term), out=norm)
+            np.copyto(norm, np.inf, where=~ok)
+            box_norm = float(norm.min())
+            if box_norm <= best_norm:
+                box_entries = min(
+                    [(a, float(batch[row, col])) for a, row in zip(m_ids, rows) if batch[row, col] != g.base_scores[a]]
+                    for col in np.flatnonzero(norm == box_norm)
+                )
+                if box_norm < best_norm or box_entries < best_entries:
+                    best_norm, best_entries = box_norm, box_entries
+                    best = StrengthChange(dict(best_entries))
+        done += width
+        yield OracleResult(best, best_norm, False, done)
     yield OracleResult(best, best_norm, True, done)
 
 
@@ -308,7 +266,7 @@ def certify_epsilon(
     """Grid verdict on epsilon-approximation of an explanation.
 
     "no" when some grid explanation is cheaper by more than epsilon, decided
-    at the first chunk of the grid stream that holds one; "yes"
+    at the first box of the grid stream that holds one; "yes"
     when either no explanation at all can be cheaper (norm(change) <=
     epsilon) or the exhaustive grid minimum clears the discretization bound
     norm(change) - epsilon + |mutable| * step; "unknown" in between. The

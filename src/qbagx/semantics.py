@@ -44,6 +44,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -149,6 +150,8 @@ def semantics_from_config(config: str | Mapping) -> SemanticsSpec:
     """Build a semantics from a token or a custom {"aggregation", "influence"} object."""
     if isinstance(config, str):
         return builtin_semantics(config)
+    if not isinstance(config, Mapping):
+        raise ValueError(f"a semantics config is a token or an object, got {config!r}")
     unknown = set(config) - {"aggregation", "influence"}
     if unknown:
         raise ValueError(f"unknown keys in semantics config: {sorted(unknown)}")
@@ -158,13 +161,17 @@ def semantics_from_config(config: str | Mapping) -> SemanticsSpec:
         raise ValueError('custom semantics need an influence object with a "kind"')
     if set(inf) - {"kind", "k", "p"}:
         raise ValueError(f"unknown keys in influence config: {sorted(set(inf) - {'kind', 'k', 'p'})}")
-    kind = inf["kind"]
+    kind, k, p = inf["kind"], inf.get("k", 1.0), inf.get("p", 2)
+    if isinstance(k, bool) or not isinstance(k, numbers.Real) or not abs(k) <= sys.float_info.max:
+        raise ValueError(f"influence k must be a finite number, got {k!r}")  # a huge int would overflow float()
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+        raise ValueError(f"influence p must be an integer, got {p!r}")
     if kind == "linear":
-        influence = Influence("linear", k=float(inf.get("k", 1.0)))
+        influence = Influence("linear", k=float(k))
     elif kind == "euler_based":
         influence = Influence("euler_based")
     elif kind == "p_max":
-        influence = Influence("p_max", k=float(inf.get("k", 1.0)), p=int(inf.get("p", 2)))
+        influence = Influence("p_max", k=float(k), p=int(p))
     else:
         raise ValueError(f"unknown influence kind: {kind!r}")
     return SemanticsSpec(str(agg), influence, UNIT_INTERVAL)

@@ -308,6 +308,24 @@ def test_custom_semantics_config_rejects_unknown_keys(fig_file, capsys):
     assert "unknown keys" in err
 
 
+@pytest.mark.parametrize("config", ['{"aggregation":"sum","influence":{"kind":"linear","k":"0.5"}}',
+                                    '{"aggregation":"sum","influence":{"kind":"linear","k":null}}',
+                                    '{"aggregation":"sum","influence":{"kind":"p_max","p":2.5}}'])
+def test_malformed_custom_semantics_exit_2(fig_file, capsys, config):
+    code, out, err = run_cli(capsys, "eval", "--graph", fig_file, "--semantics", config)
+    assert (code, out) == (2, "") and err.startswith("error: influence")
+
+
+def test_malformed_ordering_file_exits_2(fig_file, tmp_path, capsys):
+    ordering = tmp_path / "ordering.json"
+    ordering.write_text('{"tiers":[["b"],5]}')
+    code, _, err = run_cli(
+        capsys, "explain", "--graph", fig_file, "--semantics", "naive",
+        "--ordering", str(ordering), "--mutable", "a,e",
+    )
+    assert code == 2 and "ordering document" in err
+
+
 def test_cyclic_eval_reports_undefined(tmp_path, capsys):
     spec_doc = '{"aggregation":"sum","influence":{"kind":"linear","k":1}}'
     g = q.make_qbag({"x": 1.0, "y": 1.0}, attacks=[("x", "y"), ("y", "x")])

@@ -177,6 +177,21 @@ def test_epsilon_approximation_requires_explanation():
         q.is_epsilon_approximate(query, q.StrengthChange({"a": 0.5}), 1.0, q.GridSpec(step=0.5, lower=0, upper=4))
 
 
+@pytest.mark.parametrize("doc", ['{"tiers":["ab"]}', '{"tiers":[["a"],5]}', '{"tiers":[["a"],[""]]}',
+                                 '{"tiers":[["a"],["b",2]]}', '{"tiers":[["a"]],"x":1}'])
+def test_malformed_ordering_documents_rejected(doc):
+    """"ab" used to be read as the tier {a, b}, and a tier 5 raised TypeError."""
+    with pytest.raises(GraphFormatError):
+        q.ordering_from_json(doc)
+
+
+@pytest.mark.parametrize("value", ["true", '"0.5"', "null", "[1]", "1" + "0" * 400])
+def test_change_entries_must_be_real_numbers(value):
+    """true and "0.5" used to be read as 1.0 and 0.5."""
+    with pytest.raises(GraphFormatError):
+        q.change_from_json('{"changes":{"a":%s}}' % value)
+
+
 def test_change_json_round_trip():
     change = q.StrengthChange({"a": 2.0, "e": 3.0})
     assert q.change_from_json(change.to_json()) == change

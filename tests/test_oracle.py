@@ -15,6 +15,8 @@ from qbagx.oracle import _grid_count, _grid_values, _on_grid
 from qbagx.semantics import compile_graph, is_monotone
 
 from helpers import (
+    FIG_CASES,
+    FIG_EDGES,
     brute_force_reference,
     fig_graph,
     fig_query,
@@ -24,8 +26,18 @@ from helpers import (
 )
 
 # Linear influence over the reals is not monotone (semantics.is_monotone): the
-# oracle streams its whole grid, in chunks, as it does on cyclic graphs.
+# oracle refutes none of its boxes, as on cyclic graphs, and skips only those
+# above the running minimum.
 UNPRUNED = q.SemanticsSpec("sum", q.Influence("linear", k=1.0), q.NAIVE.domain, acyclic_only=True, name="unpruned")
+
+
+def unexplainable_query(mutable) -> q.ExplanationQuery:
+    """The running example under UNPRUNED plus two isolated arguments, u
+    above t, that the ordering wants the other way round: no assignment
+    explains it and no box is refuted, so every grid point is evaluated."""
+    scores, _ = FIG_CASES["g"]
+    graph = q.make_qbag({**scores, "t": 1.0, "u": 2.0}, FIG_EDGES["attacks"], FIG_EDGES["supports"])
+    return q.ExplanationQuery(graph, UNPRUNED, frozenset(mutable), q.ordering_from_tiers([["u"], ["t"]]))
 
 
 def test_grid_best_running_example_exact_mode():
@@ -149,6 +161,14 @@ def test_non_finite_grid_rejected():
             q.GridSpec(**bad)
 
 
+@pytest.mark.parametrize("bad", [{"step": True}, {"max_mutable": True}, {"max_mutable": 2.5}, {"max_mutable": -1},
+                                 {"max_points": 2.5}, {"max_points": False}, {"max_points": 0}, {"max_points": "9"}])
+def test_malformed_grid_caps_rejected(bad):
+    """GridSpec(max_points=2.5, max_mutable=True) used to be accepted."""
+    with pytest.raises(ValueError):
+        q.GridSpec(**bad)
+
+
 def test_reversed_grid_rejected():
     """A reversed grid used to hold one point and certify a change the
     oracle beats on the ordered grid."""
@@ -242,9 +262,10 @@ def test_exact_mode_witnesses_are_exact_explanations():
 
 
 def test_oracle_batches_stay_within_one_chunk(monkeypatch):
-    """The whole grid streams in chunks where it is not pruned (linear
-    influence over the reals is not monotone); under naive, a monotone
-    semantics, each surviving box streams as one batch of at most a chunk."""
+    """Each box streams as one batch of at most one chunk, whether or not the
+    grid is pruned: unpruned (linear influence over the reals is not
+    monotone) with no explanation, every point; under naive, a monotone
+    semantics, the surviving boxes."""
     widths = []
     evaluate = qbagx.explanation.evaluate_matrix
 
@@ -254,35 +275,33 @@ def test_oracle_batches_stay_within_one_chunk(monkeypatch):
 
     monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
     grid = q.GridSpec(step=0.125, lower=0.0, upper=4.0)  # 33 values, each base score among them
-    query = dataclasses.replace(fig_query(mutable=("a", "d", "e")), semantics=UNPRUNED)
+    query = unexplainable_query(("a", "d", "e"))
     result = q.brute_force_search(query, grid)
-    assert result.points == 33 ** 3 > qbagx.oracle._CHUNK
-    assert len(widths) > 1
-    assert max(widths) <= qbagx.oracle._CHUNK
-    assert sum(widths) == result.points
-    # every chunk but the last is as wide as keeps one n x width array at _CHUNK_CELLS
     n = len(query.graph.arguments)
     width = qbagx.oracle._chunk_width(n, result.points)
-    assert width == qbagx.oracle._CHUNK_CELLS // n
-    assert widths[:-1] == [width] * (len(widths) - 1) and 0 < widths[-1] <= width
+    assert width == qbagx.oracle._CHUNK_CELLS // n  # as wide as keeps one n x width array at _CHUNK_CELLS
+    assert result.best is None and result.points == 33 ** 3 > width
+    assert len(widths) > 1 and max(widths) <= width
+    assert sum(widths) == result.points
 
     widths.clear()
     result = q.brute_force_search(fig_query(mutable=("a", "d", "e")), grid)
     assert 0 < result.points < 33 ** 3 and sum(widths) == result.points
-    assert len(widths) > 1 and max(widths) <= width
+    assert len(widths) > 1 and max(widths) <= qbagx.oracle._chunk_width(5, 33 ** 3)
 
 
 @pytest.mark.parametrize("pruned", [False, True])
 def test_oracle_chunks_after_the_first_allocate_less_than_one_batch(pruned):
-    """The stream allocates its batch and buffers for the first chunk; each
-    later chunk, the short last one included, allocates less than one
-    n x width float array (tracemalloc sees numpy's data allocations).
-    Unpruned: sum + linear(1) at in-degree 4 is not monotone, so the whole
-    grid streams in chunks. Pruned: DF-QuAD streams the surviving boxes,
-    one batch each, and refutes the others (this grid holds no explanation)."""
+    """The stream allocates its batch and buffers for the first box; each
+    later box allocates less than one n x width float array (tracemalloc
+    sees numpy's data allocations). Unpruned: sum + linear(1) at in-degree 4
+    is not monotone, so no box is refuted, and the explanation lies seven
+    boxes in. Pruned: DF-QuAD streams the surviving boxes and refutes the
+    others (this grid holds no explanation)."""
     inst = q.generate(q.GenSpec(q.structure((4, 4, 2)), "random", 1 if pruned else 41))
     spec = q.DFQUAD if pruned else q.SemanticsSpec("sum", q.Influence("linear", k=1.0))
-    query = q.ExplanationQuery(inst.graph, spec, frozenset(inst.layers[0]), inst.ordering)
+    ordering = inst.ordering if pruned else q.ordering_from_tiers(reversed([sorted(t) for t in inst.ordering.tiers]))
+    query = q.ExplanationQuery(inst.graph, spec, frozenset(inst.layers[0]), ordering)
     stream = qbagx.oracle._running_minimum(query, q.GridSpec(step=0.1), "weak")  # 12^4 assignments
     tracemalloc.start()
     try:
@@ -295,20 +314,18 @@ def test_oracle_chunks_after_the_first_allocate_less_than_one_batch(pruned):
         tracemalloc.stop()
     n, width = len(query.graph.arguments), qbagx.oracle._chunk_width(len(query.graph.arguments), 12 ** 4)
     assert first.points <= width and len(rest) >= 3 and rest[-1].exhaustive and not rest[-2].exhaustive
-    if pruned:
-        assert 0 < rest[-1].points < 12 ** 4
-    else:
-        assert first.points == width and len(rest) >= 5 and rest[-1].points == 12 ** 4
-        assert rest[-2].points - rest[-3].points < width  # a short last chunk
+    assert 0 < rest[-1].points < 12 ** 4
+    assert (rest[-1].best is None) == pruned and (pruned or len(rest) >= 5)
     assert peak - before < n * width * 8
 
 
 def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
-    """Every chunk's batch equals the divmod fill, for 1 to 4 mutable
-    arguments with candidate lists of unequal length (b's own score is off
-    the grid), for chunk widths below and above each axis period (9, 81,
-    810, 7,290 with all four), and for short last chunks, where the whole
-    grid streams. Where it is pruned, each batch is the divmod fill of its box."""
+    """Every batch is the divmod fill of one box, a run of each axis's
+    candidates in C order, for 1 to 4 mutable arguments with candidate lists
+    of unequal length (b's own score is off the grid) and chunk widths from
+    1 to above the whole grid. Where nothing is refuted or skipped, the
+    boxes tile the grid: each point is evaluated once. Where the grid is
+    pruned (naive is monotone), each batch is the divmod fill of its box."""
     batches = []
     evaluate = qbagx.explanation.evaluate_matrix
 
@@ -316,10 +333,24 @@ def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
         batches.append(tau.copy())
         return evaluate(plan, spec, tau, *args, **kwargs)
 
+    def boxes_of(plan, rows, candidates):
+        """Per batch, each axis's first candidate index and the batch's
+        points as C-order grid positions, checking the batch's fill."""
+        for batch in batches:
+            box = [np.unique(batch[row]) for row in rows]
+            firsts = [int(np.searchsorted(axis, values[0])) for values, axis in zip(box, candidates)]
+            for values, axis, first in zip(box, candidates, firsts):
+                assert np.array_equal(axis[first : first + len(values)], values)
+            want = np.repeat(plan.tau[:, None], batch.shape[1], axis=1)
+            want[rows] = grid_fill_reference(box, 0, batch.shape[1])
+            assert np.array_equal(batch.view(np.uint64), want.view(np.uint64))
+            mesh = np.meshgrid(*(np.arange(f, f + len(v)) for f, v in zip(firsts, box)), indexing="ij")
+            yield np.ravel_multi_index([m.reshape(-1) for m in mesh], [len(c) for c in candidates])
+
     monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
     grid = q.GridSpec(step=0.5, lower=0.0, upper=4.0)  # 9 values; b's score 8 makes 10
     for mutable in (("e",), ("b",), ("b", "e"), ("a", "b", "e"), ("a", "b", "d", "e")):
-        query = dataclasses.replace(fig_query(mutable), semantics=UNPRUNED)  # the whole grid streams
+        query = unexplainable_query(mutable)
         plan = compile_graph(query.graph)
         candidates = grid_candidates(query, grid)
         total = math.prod(map(len, candidates))
@@ -329,28 +360,18 @@ def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
             batches.clear()
             result = q.brute_force_search(query, grid)
             assert result.points == total == sum(b.shape[1] for b in batches)
-            start = 0
-            for batch in batches:
-                want = np.repeat(plan.tau[:, None], batch.shape[1], axis=1)
-                want[rows] = grid_fill_reference(candidates, start, batch.shape[1])
-                assert np.array_equal(batch.view(np.uint64), want.view(np.uint64)), (mutable, chunk, start)
-                start += batch.shape[1]
+            assert max(b.shape[1] for b in batches) <= chunk
+            positions = np.concatenate(list(boxes_of(plan, rows, candidates)))
+            assert np.array_equal(np.sort(positions), np.arange(total)), (mutable, chunk)
     assert sorted(map(len, candidates)) == [9, 9, 9, 10]
 
-    # pruned (naive is monotone): each batch is one surviving box, a run of
-    # each axis's candidates, filled in C order
     monkeypatch.setattr(qbagx.oracle, "_CHUNK", 500)
     batches.clear()
-    result = q.brute_force_search(fig_query(mutable), grid)
+    query = fig_query(mutable)
+    plan = compile_graph(query.graph)
+    result = q.brute_force_search(query, grid)
     assert result.points == sum(b.shape[1] for b in batches) < total and len(batches) > 1
-    for batch in batches:
-        box = [np.unique(batch[row]) for row in rows]
-        for values, axis in zip(box, candidates):
-            first = int(np.searchsorted(axis, values[0]))
-            assert np.array_equal(axis[first : first + len(values)], values)
-        want = np.repeat(plan.tau[:, None], batch.shape[1], axis=1)
-        want[rows] = grid_fill_reference(box, 0, batch.shape[1])
-        assert np.array_equal(batch.view(np.uint64), want.view(np.uint64))
+    assert len(np.unique(np.concatenate(list(boxes_of(plan, rows, candidates))))) == result.points
 
 
 def test_on_grid_agrees_with_the_grid_values():
@@ -431,13 +452,22 @@ def test_pruned_oracle_matches_the_reference(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
-def test_configurations_outside_the_monotonicity_condition_evaluate_every_point():
+def test_configurations_outside_the_monotonicity_condition_are_never_refuted(monkeypatch):
     """product + linear(0.5) leaves [0, 1] and sum + linear(1) at in-degree 2
-    is not monotone in w, so their grids stream whole; sum + linear(2) at
-    in-degree 2 is monotone and pruned."""
+    is not monotone in w, so interval bounds would not enclose their
+    strengths and are never computed; sum + linear(2) at in-degree 2 is
+    monotone and bounded. Either way the answer is the reference's."""
+    calls = []
+    bounds = qbagx.oracle.interval_pass
+
+    def counting(*args):
+        calls.append(1)
+        return bounds(*args)
+
+    monkeypatch.setattr(qbagx.oracle, "interval_pass", counting)
     g = q.make_qbag({"a": 0.9, "b": 0.8, "c": 0.3, "d": 0.6}, attacks=[("a", "c")], supports=[("b", "c")])
     ordering = q.ordering_from_tiers([["d"], ["c"]])
-    grid = q.GridSpec(step=1 / 31)  # 32 values, plus each score: 33^3 assignments, over two chunks
+    grid = q.GridSpec(step=1 / 31)  # 32 values, plus each score: 33^3 assignments, over several chunks
     for spec, pruned in ((q.SemanticsSpec("product", q.Influence("linear", k=0.5)), False),
                          (q.SemanticsSpec("sum", q.Influence("linear", k=1.0)), False),
                          (q.SemanticsSpec("sum", q.Influence("linear", k=2.0)), True)):
@@ -445,9 +475,48 @@ def test_configurations_outside_the_monotonicity_condition_evaluate_every_point(
         assert is_monotone(compile_graph(g), spec) == pruned
         for mode in ("weak", "exact"):
             best, best_norm, _ = brute_force_reference(query, grid, mode)
+            calls.clear()
             result = q.brute_force_search(query, grid, mode)
             assert (result.best, result.best_norm) == (best, best_norm)
-            assert (result.points < 33 ** 3) == pruned, (spec, mode, result.points)
+            assert result.exhaustive and 0 < result.points < 33 ** 3
+            assert bool(calls) == pruned, (spec, mode)
+
+
+def _with_back_edge(query: q.ExplanationQuery, kind: str) -> q.ExplanationQuery:
+    """The query's graph plus one edge of `kind` against the first edge
+    (or, on a graph without edges, a two-argument cycle): a cyclic graph."""
+    g = query.graph
+    attacks, supports = list(g.attacks), list(g.supports)
+    first = min(attacks + supports, default=None)
+    x, y = (first[1], first[0]) if first else sorted(g.arguments)[:2]
+    added = [(x, y)] if first else [(x, y), (y, x)]
+    if kind == "attack":
+        attacks += added
+    else:
+        supports += added
+    return dataclasses.replace(query, graph=q.make_qbag(g.base_scores, attacks, supports))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16, 64])
+def test_cyclic_oracle_matches_the_reference(monkeypatch, chunk):
+    """Random tiny queries plus a back edge (cyclic, so no box is refuted)
+    under DF-QuAD and euler-based give the one-batch reference's answer in
+    weak and exact mode, whatever the chunk width."""
+    monkeypatch.setattr(qbagx.oracle, "_CHUNK", chunk)
+    grid = q.GridSpec(step=0.25)
+    seen = {"found": 0, "none": 0}
+    for seed in range(12):
+        for semantics in (q.DFQUAD, q.EULER_BASED):
+            query = _with_back_edge(random_tiny_query(seed, semantics), ("attack", "support")[seed % 2])
+            assert not compile_graph(query.graph).acyclic
+            total = math.prod(map(len, grid_candidates(query, grid)))
+            for mode in ("weak", "exact"):
+                best, best_norm, _ = brute_force_reference(query, grid, mode)
+                result = q.brute_force_search(query, grid, mode)
+                assert (result.best, result.best_norm) == (best, best_norm), (seed, semantics.name, mode)
+                assert result.exhaustive and result.points <= total
+                seen["found" if best is not None else "none"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 # The exact workload's certification queries (4,4,2, DF-QuAD, the first

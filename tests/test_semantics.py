@@ -69,6 +69,23 @@ def test_custom_semantics_from_config():
     assert spec.influence == Influence("p_max", k=1.0, p=2)
 
 
+@pytest.mark.parametrize("config", [
+    [],
+    {"aggregation": "sum", "influence": {"kind": "linear", "k": "0.5"}},
+    {"aggregation": "sum", "influence": {"kind": "linear", "k": True}},
+    {"aggregation": "sum", "influence": {"kind": "linear", "k": [1]}},
+    {"aggregation": "sum", "influence": {"kind": "linear", "k": None}},
+    {"aggregation": "sum", "influence": {"kind": "linear", "k": 10 ** 400}},
+    {"aggregation": "sum", "influence": {"kind": "p_max", "p": 2.5}},
+    {"aggregation": "sum", "influence": {"kind": "p_max", "p": True}},
+])
+def test_semantics_config_rejects_malformed_values(config):
+    """An empty list used to raise AttributeError, a string or bool k was coerced,
+    k as a list or null raised TypeError, and p = 2.5 was truncated to 2."""
+    with pytest.raises(ValueError):
+        q.semantics_from_config(config)
+
+
 @pytest.mark.parametrize("name", sorted(FIG_CASES))
 def test_naive_running_example_exact(name):
     scores, expected = FIG_CASES[name]

@@ -136,10 +136,8 @@ def change_from_json(data: str | bytes) -> StrengthChange:
         raise GraphFormatError(f"invalid strength change JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"changes"} or not isinstance(doc["changes"], dict):
         raise GraphFormatError('strength change document must be {"changes": {...}}')
-    try:  # as base scores: non-empty string ids, finite real values (a bool or a string is neither)
-        return StrengthChange(_checked_scores(doc["changes"]))
-    except OverflowError as exc:  # an integer too large for a float
-        raise GraphFormatError(f"bad strength change entry: {exc}") from exc
+    # as base scores: non-empty string ids, finite real values (a bool or a string is neither)
+    return StrengthChange(_checked_scores(doc["changes"]))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import weakref
 from collections.abc import Collection, Set as AbstractSet
 from dataclasses import dataclass
@@ -112,14 +113,18 @@ def _checked_scores(base_scores: Mapping[str, float]) -> dict[str, float]:
     """The scores as floats, sorted by id, once ids and values are checked."""
     ids = sorted(base_scores)
     values = list(map(base_scores.__getitem__, ids))
-    if not (set(map(type, ids)) <= {str} and all(ids) and set(map(type, values)) <= {float, int}
-            and all(map(math.isfinite, values))):
+    try:  # math.isfinite raises OverflowError on an integer too large for a float
+        valid = (set(map(type, ids)) <= {str} and all(ids) and set(map(type, values)) <= {float, int}
+                 and all(map(math.isfinite, values)))
+    except OverflowError:
+        valid = False
+    if not valid:
         for arg, value in zip(ids, values):
             if not isinstance(arg, str) or not arg:
                 raise GraphFormatError(f"argument id must be a non-empty string, got {arg!r}")
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise GraphFormatError(f"base score of {arg!r} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an integer too large for a float
                 raise GraphFormatError(f"base score of {arg!r} must be finite, got {value!r}")
     return dict(zip(ids, map(float, values)))
 

@@ -8,12 +8,13 @@ satisfy it (OrderingRule.evaluate). Explicit grid bounds must lie in the
 semantics domain. A branch and bound over index boxes halves the grid until
 each box fits in one fixed-width column chunk; a box whose least change
 amount is above the running minimum (or the bound that decides a
-certification) is never evaluated, and on an acyclic graph under a monotone
-semantics (semantics.is_monotone) a box whose interval bounds put a required
-topic pair apart is refuted. The boxes stream cheapest first, each filled in
-C order and evaluated as one batch on the one compiled plan into buffers
-allocated once per call, keeping a running minimum and its tie-break, so
-the answer is the whole grid's and memory stays bounded by the chunk width.
+certification) is never evaluated, and on an acyclic graph a box whose
+interval bounds (semantics.interval_pass, sound under every accepted
+semantics) put a required topic pair apart is refuted. The boxes stream
+cheapest first, each filled in C order and evaluated as one batch on the
+one compiled plan into buffers allocated once per call, keeping a running
+minimum and its tie-break, so the answer is the whole grid's and memory
+stays bounded by the chunk width.
 A call counts the grid, and enforces its cap, before any grid value is
 made. Certification reads the same stream and stops at the first box that
 refutes the change. Deliberately unscalable in time; the caps on the
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .explanation import ExplanationQuery, OrderingRule, StrengthChange, amount_of_change
-from .semantics import PassBuffers, check_scores_in_domain, compile_graph, interval_pass, is_monotone
+from .semantics import PassBuffers, check_scores_in_domain, compile_graph, interval_pass
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,11 @@ def _surviving_boxes(plan, spec, pairs: tuple | None, candidates: list, rows: li
     least change amount is above `bound`, refuted where its interval_pass
     bounds put one of the required topic `pairs` (OrderingRule.required)
     apart, and halved on its widest axis while it holds more than `chunk`
-    points. `pairs` is None where interval_pass does not enclose the
-    strengths (a cyclic plan, or one that is not is_monotone); then no box
-    is refuted. Each level goes through interval_pass in batches of
-    chunk // 2 boxes. Survivors come cheapest first, then in C order of
-    their first corners, so that a stream soon finds a cheap explanation,
-    which drops the boxes above it."""
+    points. `pairs` is None on a cyclic plan, which interval_pass does not
+    bound; then no box is refuted. Each level goes through interval_pass in
+    batches of chunk // 2 boxes. Survivors come cheapest first, then in C
+    order of their first corners, so that a stream soon finds a cheap
+    explanation, which drops the boxes above it."""
     shape = np.array([[len(c) for c in candidates]], dtype=np.intp)
     starts, stops, found = np.zeros_like(shape), shape, []
     batch = max(1, chunk // 2)
@@ -176,13 +176,13 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str,
     """Stream _surviving_boxes' boxes, each as one batch of at most
     `_chunk_width` columns filled in C order; after each box, yield the best
     assignment among those evaluated so far, and at the end the whole grid's
-    (`exhaustive`). Boxes are refuted only on an acyclic plan under a
-    monotone semantics. A box is skipped when its least change amount is
-    above the running minimum or `bound` (none of its points can be the
-    answer, or change a certification's verdict); ties are kept, and a box's
-    winners at the running minimum join the tie-break. The buffers belong to
-    this call; a narrower box views a prefix of them. The grid is counted,
-    and the cap enforced, before any of it is made."""
+    (`exhaustive`). Boxes are refuted only on an acyclic plan. A box is
+    skipped when its least change amount is above the running minimum or
+    `bound` (none of its points can be the answer, or change a
+    certification's verdict); ties are kept, and a box's winners at the
+    running minimum join the tie-break. The buffers belong to this call; a
+    narrower box views a prefix of them. The grid is counted, and the cap
+    enforced, before any of it is made."""
     g = query.graph
     spec = query.semantics
     m_ids = sorted(query.mutable)
@@ -204,7 +204,7 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str,
     candidates = [values if on else np.sort(np.append(values, tau_a)) for on, tau_a in zip(on_grid, tau_m)]
     rows = [plan.index[a] for a in m_ids]
     chunk = _chunk_width(plan.n, total)
-    pairs = rule.required(mode) if plan.acyclic and is_monotone(plan, spec) else None
+    pairs = rule.required(mode) if plan.acyclic else None
     boxes = _surviving_boxes(plan, spec, pairs, candidates, rows, chunk, bound)
     best_norm, best_entries, best, done = float("inf"), None, None, 0
     buffers, memory = PassBuffers(plan, chunk), np.empty(plan.n * chunk)
@@ -275,6 +275,8 @@ def certify_epsilon(
     them are not evaluated.
     """
     grid = grid or GridSpec()
+    plan = compile_graph(query.graph)
+    check_scores_in_domain(plan, query.semantics, plan.tau[:, None])  # before the answer that needs no grid
     norm = amount_of_change(query.graph, change)
     if norm <= epsilon:
         return "yes"

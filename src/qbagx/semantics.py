@@ -14,8 +14,11 @@ with an influence function (moves the base score by the aggregate):
     Additive       i(w, s) = w + s        (running-example semantics)
 
 Built-ins: dfquad = (product, linear(1)), eb = (sum, euler_based),
-qe = (sum, 2-max(1)), all over [0, 1]; naive = (sum, additive) over the
-reals, defined for acyclic graphs only.
+qe = (sum, 2-max(1)) and naive = (sum, additive). The domain follows from
+the influence: the reals, on acyclic graphs only, under additive, and
+[0, 1] under every other. Configurations whose strengths could leave it are
+rejected (SemanticsSpec, check_scores_in_domain); every accepted one is
+monotone, so the interval_pass bounds are sound on every acyclic plan.
 
 A graph compiles into a GraphPlan: the blocks of its topology, which the
 graph builds once and shares with the graphs built on the same edge sets
@@ -45,7 +48,7 @@ import copy
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -96,39 +99,60 @@ class Influence:
     def __post_init__(self):
         if self.kind not in ("linear", "euler_based", "p_max", "additive"):
             raise ValueError(f"unknown influence kind: {self.kind!r}")
+        k, p = self.k, self.p
+        # a bool is an int, and an int too large for a float would overflow float()
+        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not abs(k) <= sys.float_info.max:
+            raise ValueError(f"influence k must be a finite number, got {k!r}")
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+            raise ValueError(f"influence p must be an integer, got {p!r}")
+        object.__setattr__(self, "k", float(k))  # as a float and an int, whatever numeric types came in
+        object.__setattr__(self, "p", int(p))
         # linear divides by k; a k whose reciprocal overflows turns w / k
         # into inf and a zero aggregate's term into inf * 0 = NaN
-        if not (0.0 < self.k < math.inf and math.isfinite(1.0 / self.k)):
+        if not (0.0 < self.k and math.isfinite(1.0 / self.k)):
             raise ValueError("influence parameter k must be positive, finite and have a finite reciprocal")
-        if self.kind == "p_max" and (self.p < 1 or int(self.p) != self.p):
+        if self.kind == "p_max" and self.p < 1:
             raise ValueError("p_max needs a positive integer p")
 
 
 @dataclass(frozen=True)
 class SemanticsSpec:
+    """An aggregation and an influence, which sets the domain. Construction
+    rejects additive and linear(k < 1) influence under product; linear(k)
+    under sum needs k >= the largest in-degree, a graph-level check that
+    check_scores_in_domain makes."""
+
     aggregation: str  # "sum" | "product"
     influence: Influence
-    domain: StrengthDomain = UNIT_INTERVAL
+    _: KW_ONLY
     epsilon: float = 1e-9  # fixed-point convergence threshold
     max_sweeps: int = 10_000
-    acyclic_only: bool = False
     name: str = "custom"
 
     def __post_init__(self):
         if self.aggregation not in ("sum", "product"):
             raise ValueError(f"unknown aggregation: {self.aggregation!r}")
         # a NaN epsilon would settle no column and then leave every strength defined
-        if not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < math.inf):
+        if isinstance(self.epsilon, bool) or not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < math.inf):
             raise ValueError(f"epsilon must be a positive finite number, got {self.epsilon!r}")
         # no sweep at all would report the base scores as settled strengths
         if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be an integer of at least 1, got {self.max_sweeps!r}")
+        # a product aggregate lies in [-1, 1] while strengths stay in [0, 1]
+        inf = self.influence
+        if self.aggregation == "product" and (inf.kind == "additive" or inf.kind == "linear" and inf.k < 1.0):
+            raise ValueError(f"{inf} under product can leave [0, 1]: product needs linear influence "
+                             "with k >= 1, euler_based or p_max")
+
+    @property
+    def domain(self) -> StrengthDomain:
+        return ALL_REALS if self.influence.kind == "additive" else UNIT_INTERVAL
 
 
-DFQUAD = SemanticsSpec("product", Influence("linear", k=1.0), UNIT_INTERVAL, name="dfquad")
-EULER_BASED = SemanticsSpec("sum", Influence("euler_based"), UNIT_INTERVAL, name="eb")
-QUADRATIC_ENERGY = SemanticsSpec("sum", Influence("p_max", k=1.0, p=2), UNIT_INTERVAL, name="qe")
-NAIVE = SemanticsSpec("sum", Influence("additive"), ALL_REALS, acyclic_only=True, name="naive")
+DFQUAD = SemanticsSpec("product", Influence("linear", k=1.0), name="dfquad")
+EULER_BASED = SemanticsSpec("sum", Influence("euler_based"), name="eb")
+QUADRATIC_ENERGY = SemanticsSpec("sum", Influence("p_max", k=1.0, p=2), name="qe")
+NAIVE = SemanticsSpec("sum", Influence("additive"), name="naive")
 
 _BUILTINS = {
     "dfquad": DFQUAD,
@@ -147,7 +171,8 @@ def builtin_semantics(token: str) -> SemanticsSpec:
 
 
 def semantics_from_config(config: str | Mapping) -> SemanticsSpec:
-    """Build a semantics from a token or a custom {"aggregation", "influence"} object."""
+    """Build a semantics from a token or a custom {"aggregation", "influence"}
+    object (linear, euler_based or p_max); the constructors check its values."""
     if isinstance(config, str):
         return builtin_semantics(config)
     if not isinstance(config, Mapping):
@@ -155,26 +180,14 @@ def semantics_from_config(config: str | Mapping) -> SemanticsSpec:
     unknown = set(config) - {"aggregation", "influence"}
     if unknown:
         raise ValueError(f"unknown keys in semantics config: {sorted(unknown)}")
-    agg = config.get("aggregation")
     inf = config.get("influence")
     if not isinstance(inf, Mapping) or "kind" not in inf:
         raise ValueError('custom semantics need an influence object with a "kind"')
     if set(inf) - {"kind", "k", "p"}:
         raise ValueError(f"unknown keys in influence config: {sorted(set(inf) - {'kind', 'k', 'p'})}")
-    kind, k, p = inf["kind"], inf.get("k", 1.0), inf.get("p", 2)
-    if isinstance(k, bool) or not isinstance(k, numbers.Real) or not abs(k) <= sys.float_info.max:
-        raise ValueError(f"influence k must be a finite number, got {k!r}")  # a huge int would overflow float()
-    if isinstance(p, bool) or not isinstance(p, numbers.Integral):
-        raise ValueError(f"influence p must be an integer, got {p!r}")
-    if kind == "linear":
-        influence = Influence("linear", k=float(k))
-    elif kind == "euler_based":
-        influence = Influence("euler_based")
-    elif kind == "p_max":
-        influence = Influence("p_max", k=float(k), p=int(p))
-    else:
-        raise ValueError(f"unknown influence kind: {kind!r}")
-    return SemanticsSpec(str(agg), influence, UNIT_INTERVAL)
+    if inf["kind"] == "additive":
+        raise ValueError('a custom influence is linear, euler_based or p_max; additive is the token "naive"')
+    return SemanticsSpec(config.get("aggregation"), Influence(**inf))
 
 
 def aggregate(kind: str, attacker_strengths: Iterable[float], supporter_strengths: Iterable[float]) -> float:
@@ -326,25 +339,16 @@ class PassBuffers:
 _ALLOCATE = (None, None, (None, None, None, None))
 
 
-def _masked_product(mask, factors):
-    """prod over the entries of `factors` where the 0/1 `mask` is 1, batched:
-    (rows, cols) x (cols, B)."""
-    return np.where(mask[:, :, None] > 0.0, factors[None, :, :], 1.0).prod(axis=1)
-
-
 def _factor_products(att, supp, factors, att_out, supp_out):
     """Per row, the products of the factors (1 - parent strength) over its
     attackers and over its supporters: exp of summed logs, taken in place in
-    `factors`, into the two outs; exact masked products, allocated, where
-    some factor is negative (out-of-domain strengths)."""
-    # argmin finds the least factor, or the first NaN, faster than min() reduces
-    low = factors.item(factors.argmin()) if factors.size else math.inf
-    if low >= 0.0:  # the floor only moves factors below it
-        if low < _LOG_FLOOR:
-            np.maximum(factors, _LOG_FLOOR, out=factors)
-        logs = np.log(factors, factors)
-        return np.exp(np.matmul(att, logs, att_out), att_out), np.exp(np.matmul(supp, logs, supp_out), supp_out)
-    return _masked_product(att, factors), _masked_product(supp, factors)
+    `factors`, into the two outs. Factors below _LOG_FLOOR are floored."""
+    # argmin finds the least factor, or the first NaN, faster than min()
+    # reduces; the floor only moves factors below it
+    if factors.size and factors.item(factors.argmin()) < _LOG_FLOOR:
+        np.maximum(factors, _LOG_FLOOR, out=factors)
+    logs = np.log(factors, factors)
+    return np.exp(np.matmul(att, logs, att_out), att_out), np.exp(np.matmul(supp, logs, supp_out), supp_out)
 
 
 def _parentless(inf: Influence, w, out, t1, t2):
@@ -403,33 +407,16 @@ def _blocks_pass(blocks: tuple, views: tuple, spec: SemanticsSpec, tau, src, out
             out[rows] = result
 
 
-def is_monotone(plan: GraphPlan, spec: SemanticsSpec) -> bool:
-    """Whether every strength on the acyclic `plan` rises with each base
-    score and supporter and falls with each attacker over the whole domain,
-    so that interval_pass encloses a box's strengths. Both aggregations are
-    monotone while strengths stay in [0, 1]; sum + additive is everywhere.
-    Over [0, 1], euler_based and p_max rise in w and s and stay in [0, 1];
-    linear(k) does so while |aggregate| <= k: k >= 1 under product, and
-    k >= the largest in-degree under sum."""
-    inf = spec.influence
-    if inf.kind == "additive":
-        return spec.aggregation == "sum"
-    if not (spec.domain.lower >= 0.0 and spec.domain.upper <= 1.0):
-        return False
-    if inf.kind != "linear":
-        return True
-    if spec.aggregation == "product":
-        return inf.k >= 1.0
-    return inf.k >= max((int(np.count_nonzero(w, axis=1).max()) for _, _, w, *_ in plan.blocks if w.size), default=0)
-
-
 def interval_pass(plan: GraphPlan, spec: SemanticsSpec, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, bounds on the strengths of every column of base scores
     between `lo` and `hi` (n_arguments x batch each): one forward pass over
     the blocks of the acyclic `plan` in which a block reads its attackers at
     the opposite bound and its supporters at the same bound. The bounds hold,
-    up to rounding, where is_monotone(plan, spec). Both bounds go through
-    one batch of twice the width, lower bounds first; each step allocates."""
+    up to rounding, under every configuration that SemanticsSpec and
+    check_scores_in_domain accept: each keeps strengths in its domain, where
+    every strength rises with each base score and supporter and falls with
+    each attacker. Both bounds go through one batch of twice the width,
+    lower bounds first; each step allocates."""
     width, inf = lo.shape[1], spec.influence
     swap = np.r_[width : 2 * width, :width]  # each column's other bound
     tau = np.concatenate((lo, hi), axis=1)
@@ -579,7 +566,7 @@ def evaluate_matrix(
         raise ValueError("tau must have shape (n_arguments, batch)")
     if buffers is not None and (buffers.plan is not plan or buffers.width != tau.shape[1]):
         raise ValueError("buffers were made for another plan or batch width")
-    if not plan.acyclic and spec.acyclic_only:
+    if not plan.acyclic and spec.influence.kind == "additive":
         raise CyclicGraphError(f"semantics {spec.name!r} is defined for acyclic graphs only")
     if plan.acyclic and method == "iterative" and plan.n:  # an empty graph has nothing to sweep
         plan, buffers = _as_one_core(plan), None
@@ -590,14 +577,21 @@ def evaluate_matrix(
 
 
 def check_scores_in_domain(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> None:
-    if spec.domain.bounded:
+    """Reject base scores outside spec.domain, and linear influence under sum
+    on a graph where some argument has more than k parents: its aggregate
+    could pass k, and its strength leave [0, 1]."""
+    domain = spec.domain
+    if domain.bounded:
         # written as a negated "inside" test so that NaN counts as outside
-        out = ~((tau >= spec.domain.lower) & (tau <= spec.domain.upper))
+        out = ~((tau >= domain.lower) & (tau <= domain.upper))
         if out.any():
             bad = plan.ids[int(np.nonzero(out.any(axis=1))[0][0])]
-            raise DomainError(
-                f"base score of {bad!r} outside domain [{spec.domain.lower}, {spec.domain.upper}]"
-            )
+            raise DomainError(f"base score of {bad!r} outside domain [{domain.lower}, {domain.upper}]")
+    if spec.influence.kind == "linear" and spec.aggregation == "sum":
+        degree = max((int(np.count_nonzero(w, axis=1).max()) for _, _, w, *_ in plan.blocks if w.size), default=0)
+        if degree > spec.influence.k:
+            raise DomainError(f"linear influence under sum needs k >= the largest in-degree, {degree}; "
+                              f"k is {spec.influence.k}")
 
 
 def final_strengths(g: QBAG, spec: SemanticsSpec, method: str = "auto") -> dict[str, float | None]:

@@ -158,19 +158,13 @@ def _influence_reference(inf: q.Influence, w, s):
     return w + s
 
 
-def _masked_product_reference(mask, factors):
-    return np.where(mask[:, :, None] > 0.0, factors[None, :, :], 1.0).prod(axis=1)
-
-
 def _products_reference(att, supp, factors):
     """Per row, the products of the factors over its attackers and over its
-    supporters: exp of summed logs, or exact masked products where some
-    factor is negative."""
+    supporters: exp of summed logs, the factors floored at _LOG_FLOOR when
+    some factor of the batch lies below it."""
     low = np.minimum.reduce(factors, axis=None, initial=np.inf)
-    if low >= 0.0:
-        logs = np.log(factors if low >= _LOG_FLOOR else np.maximum(factors, _LOG_FLOOR))
-        return np.exp(att @ logs), np.exp(supp @ logs)
-    return _masked_product_reference(att, factors), _masked_product_reference(supp, factors)
+    logs = np.log(factors if low >= _LOG_FLOOR else np.maximum(factors, _LOG_FLOOR))
+    return np.exp(att @ logs), np.exp(supp @ logs)
 
 
 def blocks_pass_reference(blocks, spec, tau, src, out):

@@ -232,6 +232,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "eval", "--graph", str(bad), "--semantics", "unknown")[0] == 2
 
 
+def test_a_base_score_too_large_for_a_float_exits_2(tmp_path, capsys):
+    """A 401-digit integer base score used to end in an OverflowError traceback."""
+    graph = tmp_path / "huge.json"
+    graph.write_text('{"arguments":[{"id":"a","base_score":1' + "0" * 400 + "}]}")
+    code, out, err = run_cli(capsys, "eval", "--graph", str(graph), "--semantics", "dfquad")
+    assert (code, out) == (2, "") and err.startswith("error: base score of 'a' must be finite")
+    change = tmp_path / "change.json"
+    change.write_text('{"changes":{"a":-1' + "0" * 400 + "}}")
+    with pytest.raises(q.errors.GraphFormatError, match="must be finite"):
+        q.change_from_json(change.read_text())
+
+
 @pytest.mark.parametrize("config", [
     '{"max_iterations": 2.5}', '{"restarts": "2"}', '{"rng_seed": 1.5, "restarts": 1}',
     '{"record_trajectory": 1}', '{"max_iterations": true}', '{"beta1": 1}', '{"adam_eps": 0}',

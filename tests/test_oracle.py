@@ -12,10 +12,9 @@ from qbagx.errors import BudgetError, DomainError
 
 import qbagx.explanation
 from qbagx.oracle import _grid_count, _grid_values, _on_grid
-from qbagx.semantics import compile_graph, is_monotone
+from qbagx.semantics import compile_graph
 
 from helpers import (
-    FIG_CASES,
     FIG_EDGES,
     brute_force_reference,
     fig_graph,
@@ -25,19 +24,19 @@ from helpers import (
     random_tiny_query,
 )
 
-# Linear influence over the reals is not monotone (semantics.is_monotone): the
-# oracle refutes none of its boxes, as on cyclic graphs, and skips only those
-# above the running minimum.
-UNPRUNED = q.SemanticsSpec("sum", q.Influence("linear", k=1.0), q.NAIVE.domain, acyclic_only=True, name="unpruned")
+# The running example's edges on unit-interval base scores, b's off the
+# 1/8 grid
+UNIT_SCORES = {"a": 0.25, "b": 0.3, "c": 0.25, "d": 0.25, "e": 0.5}
 
 
 def unexplainable_query(mutable) -> q.ExplanationQuery:
-    """The running example under UNPRUNED plus two isolated arguments, u
-    above t, that the ordering wants the other way round: no assignment
-    explains it and no box is refuted, so every grid point is evaluated."""
-    scores, _ = FIG_CASES["g"]
-    graph = q.make_qbag({**scores, "t": 1.0, "u": 2.0}, FIG_EDGES["attacks"], FIG_EDGES["supports"])
-    return q.ExplanationQuery(graph, UNPRUNED, frozenset(mutable), q.ordering_from_tiers([["u"], ["t"]]))
+    """UNIT_SCORES under DF-QuAD plus two arguments that attack each other, u
+    above t, which the ordering wants the other way round: no assignment
+    explains it, the graph is cyclic, so no box is refuted, and every grid
+    point is evaluated. The cycle settles in one sweep (t's base score is 0)."""
+    graph = q.make_qbag({**UNIT_SCORES, "t": 0.0, "u": 0.75},
+                        FIG_EDGES["attacks"] + [("t", "u"), ("u", "t")], FIG_EDGES["supports"])
+    return q.ExplanationQuery(graph, q.DFQUAD, frozenset(mutable), q.ordering_from_tiers([["u"], ["t"]]))
 
 
 def test_grid_best_running_example_exact_mode():
@@ -263,9 +262,8 @@ def test_exact_mode_witnesses_are_exact_explanations():
 
 def test_oracle_batches_stay_within_one_chunk(monkeypatch):
     """Each box streams as one batch of at most one chunk, whether or not the
-    grid is pruned: unpruned (linear influence over the reals is not
-    monotone) with no explanation, every point; under naive, a monotone
-    semantics, the surviving boxes."""
+    grid is pruned: unpruned (a cyclic graph) with no explanation, every
+    point; on the acyclic running example, the surviving boxes."""
     widths = []
     evaluate = qbagx.explanation.evaluate_matrix
 
@@ -274,9 +272,8 @@ def test_oracle_batches_stay_within_one_chunk(monkeypatch):
         return evaluate(plan, spec, tau, *args, **kwargs)
 
     monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
-    grid = q.GridSpec(step=0.125, lower=0.0, upper=4.0)  # 33 values, each base score among them
     query = unexplainable_query(("a", "d", "e"))
-    result = q.brute_force_search(query, grid)
+    result = q.brute_force_search(query, q.GridSpec(step=1 / 32))  # 33 values, each mutable score among them
     n = len(query.graph.arguments)
     width = qbagx.oracle._chunk_width(n, result.points)
     assert width == qbagx.oracle._CHUNK_CELLS // n  # as wide as keeps one n x width array at _CHUNK_CELLS
@@ -285,6 +282,7 @@ def test_oracle_batches_stay_within_one_chunk(monkeypatch):
     assert sum(widths) == result.points
 
     widths.clear()
+    grid = q.GridSpec(step=0.125, lower=0.0, upper=4.0)  # 33 values, each base score among them
     result = q.brute_force_search(fig_query(mutable=("a", "d", "e")), grid)
     assert 0 < result.points < 33 ** 3 and sum(widths) == result.points
     assert len(widths) > 1 and max(widths) <= qbagx.oracle._chunk_width(5, 33 ** 3)
@@ -294,14 +292,16 @@ def test_oracle_batches_stay_within_one_chunk(monkeypatch):
 def test_oracle_chunks_after_the_first_allocate_less_than_one_batch(pruned):
     """The stream allocates its batch and buffers for the first box; each
     later box allocates less than one n x width float array (tracemalloc
-    sees numpy's data allocations). Unpruned: sum + linear(1) at in-degree 4
-    is not monotone, so no box is refuted, and the explanation lies seven
-    boxes in. Pruned: DF-QuAD streams the surviving boxes and refutes the
-    others (this grid holds no explanation)."""
-    inst = q.generate(q.GenSpec(q.structure((4, 4, 2)), "random", 1 if pruned else 41))
-    spec = q.DFQUAD if pruned else q.SemanticsSpec("sum", q.Influence("linear", k=1.0))
-    ordering = inst.ordering if pruned else q.ordering_from_tiers(reversed([sorted(t) for t in inst.ordering.tiers]))
-    query = q.ExplanationQuery(inst.graph, spec, frozenset(inst.layers[0]), ordering)
+    sees numpy's data allocations), under DF-QuAD. Unpruned: with an edge
+    back from the last layer the graph is cyclic, so no box is refuted, and
+    the explanation lies five boxes in. Pruned: the acyclic graph streams
+    the surviving boxes and refutes the others (this grid holds no
+    explanation)."""
+    inst = q.generate(q.GenSpec(q.structure((4, 4, 2)), "random", 1 if pruned else 3))
+    g = inst.graph
+    if not pruned:
+        g = q.make_qbag(g.base_scores, g.attacks | {(inst.layers[-1][0], inst.layers[1][0])}, g.supports)
+    query = q.ExplanationQuery(g, q.DFQUAD, frozenset(inst.layers[0]), inst.ordering)
     stream = qbagx.oracle._running_minimum(query, q.GridSpec(step=0.1), "weak")  # 12^4 assignments
     tracemalloc.start()
     try:
@@ -323,9 +323,10 @@ def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
     """Every batch is the divmod fill of one box, a run of each axis's
     candidates in C order, for 1 to 4 mutable arguments with candidate lists
     of unequal length (b's own score is off the grid) and chunk widths from
-    1 to above the whole grid. Where nothing is refuted or skipped, the
-    boxes tile the grid: each point is evaluated once. Where the grid is
-    pruned (naive is monotone), each batch is the divmod fill of its box."""
+    1 to above the whole grid. Where nothing is refuted or skipped (a cyclic
+    graph), the boxes tile the grid: each point is evaluated once. Where the
+    grid is pruned (the acyclic running example under naive), each batch is
+    the divmod fill of its box."""
     batches = []
     evaluate = qbagx.explanation.evaluate_matrix
 
@@ -348,7 +349,7 @@ def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
             yield np.ravel_multi_index([m.reshape(-1) for m in mesh], [len(c) for c in candidates])
 
     monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording)
-    grid = q.GridSpec(step=0.5, lower=0.0, upper=4.0)  # 9 values; b's score 8 makes 10
+    grid = q.GridSpec(step=0.125)  # 9 values; b's score 0.3 makes 10
     for mutable in (("e",), ("b",), ("b", "e"), ("a", "b", "e"), ("a", "b", "d", "e")):
         query = unexplainable_query(mutable)
         plan = compile_graph(query.graph)
@@ -367,8 +368,9 @@ def test_grid_fill_matches_the_divmod_reference_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(qbagx.oracle, "_CHUNK", 500)
     batches.clear()
-    query = fig_query(mutable)
-    plan = compile_graph(query.graph)
+    query, grid = fig_query(mutable), q.GridSpec(step=0.5, lower=0.0, upper=4.0)  # b's score 8 is off the grid
+    plan, candidates = compile_graph(query.graph), grid_candidates(query, grid)
+    rows = [plan.index[a] for a in sorted(mutable)]
     result = q.brute_force_search(query, grid)
     assert result.points == sum(b.shape[1] for b in batches) < total and len(batches) > 1
     assert len(np.unique(np.concatenate(list(boxes_of(plan, rows, candidates))))) == result.points
@@ -412,14 +414,15 @@ def test_the_grid_is_counted_before_any_of_it_is_made():
         assert peak < 1 << 20, (mutable, peak)
 
 
-# Monotone configurations (semantics.is_monotone), whose grids are pruned
+# Accepted configurations under both aggregations: all monotone, so their
+# acyclic grids are pruned
 MONOTONE = (q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY,
             q.SemanticsSpec("product", q.Influence("linear", k=2.0)),
             q.SemanticsSpec("sum", q.Influence("linear", k=6.0)))  # tiny graphs have in-degree <= 5
 
 
 def test_pruned_oracle_matches_the_reference(monkeypatch):
-    """On random acyclic queries under monotone semantics, with base scores
+    """On random acyclic queries under several semantics, with base scores
     off the grid, the pruned oracle gives the one-batch reference's answer
     in weak and exact mode: for the drawn mutable set, the same set plus a
     topic, and the empty set; for the drawn tiers and with the two lowest
@@ -430,7 +433,6 @@ def test_pruned_oracle_matches_the_reference(monkeypatch):
     seen = dict.fromkeys(("found", "none", "pruned", "refuted", "mutable topic", "empty", "tied"), 0)
     for seed in range(30):
         query = random_tiny_query(seed, MONOTONE[seed % len(MONOTONE)])
-        assert is_monotone(compile_graph(query.graph), query.semantics)
         topic = min(query.ordering.topic_set - query.mutable, default=None)
         low, next_up, *rest = query.ordering.tiers
         tied = q.ordering_from_tiers([sorted(low | next_up)] + [sorted(t) for t in rest])
@@ -452,11 +454,12 @@ def test_pruned_oracle_matches_the_reference(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
-def test_configurations_outside_the_monotonicity_condition_are_never_refuted(monkeypatch):
-    """product + linear(0.5) leaves [0, 1] and sum + linear(1) at in-degree 2
-    is not monotone in w, so interval bounds would not enclose their
-    strengths and are never computed; sum + linear(2) at in-degree 2 is
-    monotone and bounded. Either way the answer is the reference's."""
+def test_configurations_outside_the_domain_are_rejected_and_the_rest_pruned(monkeypatch):
+    """product + linear(0.5) leaves [0, 1] and is rejected at construction;
+    sum + linear(1) at in-degree 2 could, and the oracle rejects it with
+    DomainError before any grid point or bound. sum + linear(2) at in-degree
+    2 stays in [0, 1]: its grid is pruned with interval bounds, and its
+    answer is the reference's."""
     calls = []
     bounds = qbagx.oracle.interval_pass
 
@@ -468,18 +471,22 @@ def test_configurations_outside_the_monotonicity_condition_are_never_refuted(mon
     g = q.make_qbag({"a": 0.9, "b": 0.8, "c": 0.3, "d": 0.6}, attacks=[("a", "c")], supports=[("b", "c")])
     ordering = q.ordering_from_tiers([["d"], ["c"]])
     grid = q.GridSpec(step=1 / 31)  # 32 values, plus each score: 33^3 assignments, over several chunks
-    for spec, pruned in ((q.SemanticsSpec("product", q.Influence("linear", k=0.5)), False),
-                         (q.SemanticsSpec("sum", q.Influence("linear", k=1.0)), False),
-                         (q.SemanticsSpec("sum", q.Influence("linear", k=2.0)), True)):
-        query = q.ExplanationQuery(g, spec, frozenset({"a", "b", "d"}), ordering)
-        assert is_monotone(compile_graph(g), spec) == pruned
-        for mode in ("weak", "exact"):
-            best, best_norm, _ = brute_force_reference(query, grid, mode)
-            calls.clear()
-            result = q.brute_force_search(query, grid, mode)
-            assert (result.best, result.best_norm) == (best, best_norm)
-            assert result.exhaustive and 0 < result.points < 33 ** 3
-            assert bool(calls) == pruned, (spec, mode)
+    with pytest.raises(ValueError, match="under product can leave"):
+        q.SemanticsSpec("product", q.Influence("linear", k=0.5))
+    rejected = q.ExplanationQuery(g, q.SemanticsSpec("sum", q.Influence("linear", k=1.0)), frozenset({"a", "b", "d"}),
+                                  ordering)
+    with pytest.raises(DomainError, match="in-degree, 2"):
+        q.brute_force_search(rejected, grid)
+    with pytest.raises(DomainError, match="in-degree, 2"):
+        q.certify_epsilon(rejected, q.EMPTY_CHANGE, 0.0, grid)
+    assert not calls
+    query = dataclasses.replace(rejected, semantics=q.SemanticsSpec("sum", q.Influence("linear", k=2.0)))
+    for mode in ("weak", "exact"):
+        best, best_norm, _ = brute_force_reference(query, grid, mode)
+        calls.clear()
+        result = q.brute_force_search(query, grid, mode)
+        assert (result.best, result.best_norm) == (best, best_norm)
+        assert result.exhaustive and 0 < result.points < 33 ** 3 and calls, mode
 
 
 def _with_back_edge(query: q.ExplanationQuery, kind: str) -> q.ExplanationQuery:

@@ -2,10 +2,10 @@
 
 `perfbench/tracing.py` swaps the `qbagx.semantics` globals that
 `final_strengths` calls for traced ones, and `perfbench/workloads.py` reads
-attributes of a compiled plan; a rename in the package would break
-`--trace 1` with no other test failing. The `exact` workload's checks also
-read the reductions' results, their `iterations_used` and the
-counterfactual tolerance.
+attributes of a compiled plan and of a semantics; a rename in the package
+would break `--trace 1` with no other test failing. The `exact`
+workload's checks also read the reductions' results, their
+`iterations_used` and the counterfactual tolerance.
 """
 
 import re
@@ -51,6 +51,17 @@ def test_the_plan_attributes_the_workloads_read_exist():
         plan = compile_graph(g)
         for name in read | {"acyclic", "tau", "ids", "index"}:
             assert hasattr(plan, name), name
+
+
+def test_the_semantics_attributes_the_workloads_read_exist():
+    """`domain` is derived from the influence, not a field, so a rename would
+    not show in the constructor calls."""
+    read = set(re.findall(r"\bspec\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
+    assert read >= {"domain", "name"}
+    for spec in (q.DFQUAD, q.EULER_BASED, q.QUADRATIC_ENERGY, q.NAIVE):
+        for name in read:
+            assert hasattr(spec, name), name
+        assert isinstance(spec.domain, q.StrengthDomain) and isinstance(spec.name, str)
 
 
 def test_the_reduction_names_the_exact_workload_reads_exist():

@@ -136,9 +136,9 @@ def test_search_agrees_with_oracle_under_other_semantics(token):
     assert agreed / oracle_found >= 0.9
 
 
-# sum + linear(1): an attack cycle x <-> y of base scores 1.0 flips between
-# (1, 1) and (0, 0) on every sweep, so its strengths stay undefined
-OSCILLATING = q.SemanticsSpec("sum", q.Influence("linear", k=1.0), q.UNIT_INTERVAL, max_sweeps=50)
+# DF-QuAD: an attack cycle x <-> y of base scores 1.0 flips between (1, 1)
+# and (0, 0) on every sweep, so its strengths stay undefined
+OSCILLATING = dataclasses.replace(q.DFQUAD, max_sweeps=50, name="oscillating")
 
 
 def with_oscillating_pair(query):

@@ -39,10 +39,22 @@ EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
 
 
-def _load_semantics(token: str):
-    if token.strip().startswith("{"):
-        return semantics_from_config(json.loads(token))
-    return builtin_semantics(token)
+def _inline_or_file(value: str) -> tuple[str, bool]:
+    """(text, is_json): a value that starts with "{" is inline JSON, one that
+    ends in ".json" or names an existing file is a JSON file, and any other
+    is inline text (a semantics token, an ordering spec)."""
+    if value.lstrip().startswith("{"):
+        return value, True
+    try:
+        named = value.endswith(".json") or Path(value).is_file()
+    except OSError:  # e.g. a value longer than a file name may be
+        named = False
+    return (Path(value).read_text(), True) if named else (value, False)
+
+
+def _load_semantics(value: str):
+    text, is_json = _inline_or_file(value)
+    return semantics_from_config(json.loads(text)) if is_json else builtin_semantics(text)
 
 
 def _load_graph(path: str):
@@ -50,18 +62,14 @@ def _load_graph(path: str):
 
 
 def _load_ordering(value: str):
-    path = Path(value)
-    if value.endswith(".json") or path.is_file():
-        return ordering_from_json(path.read_bytes())
-    return ordering_from_spec(value)
+    text, is_json = _inline_or_file(value)
+    return ordering_from_json(text) if is_json else ordering_from_spec(text)
 
 
 def _load_search_config(value: str | None) -> SearchConfig:
     if value is None:
         return SearchConfig()
-    path = Path(value)
-    data = path.read_text() if path.is_file() else value
-    return search_config_from_json(data)
+    return search_config_from_json(_inline_or_file(value)[0])
 
 
 def _emit(doc) -> None:
@@ -194,14 +202,12 @@ def _cmd_experiment(args) -> int:
         raise ValueError("experiment config must be a JSON object")
     structures, cells = doc.get("structures"), doc.get("cells")
     semantics, n_graphs, seed = doc.get("semantics", ["dfquad"]), doc.get("n_graphs", 100), doc.get("seed", 0)
-    if not (_list_of(structures, list) and all(_list_of(s, int) for s in structures)):
+    if not _list_of(structures, list):  # LayerStructure checks the sizes
         raise ValueError('experiment "structures" must be a list of layer-size lists')
     if not (_list_of(cells, list) and all(_list_of(c, str, 2) for c in cells)):
         raise ValueError('experiment "cells" must be a list of [family, mutable mode] pairs')
     if not _list_of(semantics, str):
         raise ValueError('experiment "semantics" must be a list of semantics tokens')
-    if not _list_of([n_graphs, seed], int):
-        raise ValueError('experiment "n_graphs" and "seed" must be integers')
     try:
         search = SearchConfig(**doc.get("search", {}))
     except TypeError as exc:

@@ -22,7 +22,6 @@ that column as not satisfying.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -108,9 +107,8 @@ class StrengthChange:
     entries: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for x, v in self.entries.items():
-            if not math.isfinite(v):
-                raise InvalidChangeError(f"entry for {x!r} must be finite, got {v!r}")
+        # checked as base scores are; the entries are kept as floats, sorted by id
+        object.__setattr__(self, "entries", _checked_scores(self.entries, InvalidChangeError, "entry for"))
 
     @property
     def domain(self) -> frozenset[str]:
@@ -317,18 +315,14 @@ def is_epsilon_approximate(
 ) -> str:
     """Can any explanation beat this one by more than epsilon?
 
-    Returns "no" when the brute-force oracle finds a strictly better
-    witness, "yes" when it can certify none exists, and "unknown" when its
-    budget or grid resolution cannot settle the question.
+    oracle.certify_epsilon's verdict, which checks epsilon and the change,
+    on `grid` (by default oracle.GridSpec()): "no" when the brute-force
+    oracle finds a strictly better witness, "yes" when it can certify none
+    exists, and "unknown" when its grid resolution cannot settle the
+    question or the grid exceeds its budget.
     """
-    from .oracle import GridSpec, certify_epsilon  # local import breaks the module cycle
+    from .oracle import certify_epsilon  # local import breaks the module cycle
 
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if not is_explanation(query, change, mode):
-        raise InvalidChangeError("change is not an explanation for the query")
-    if grid is None:
-        grid = GridSpec()
     try:
         return certify_epsilon(query, change, epsilon, grid, mode)
     except BudgetError:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import checked_int
 from .explanation import DesiredOrdering, OrderingRule, ordering_from_tiers
 from .graph import QBAG, make_qbag
 from .semantics import DFQUAD, SemanticsSpec, compile_graph, evaluate_matrix
@@ -39,15 +40,14 @@ class LayerStructure:
     def __post_init__(self):
         if len(self.sizes) < 2:
             raise ValueError("a layer structure needs at least 2 layers")
-        if any(int(s) != s or s < 1 for s in self.sizes):
-            raise ValueError("layer sizes must be positive integers")
+        object.__setattr__(self, "sizes", tuple(checked_int(s, "layer size", least=1) for s in self.sizes))
 
     def __str__(self) -> str:
         return ",".join(str(s) for s in self.sizes)
 
 
 def structure(sizes) -> LayerStructure:
-    return LayerStructure(tuple(int(s) for s in sizes))
+    return LayerStructure(tuple(sizes))
 
 
 @dataclass(frozen=True)

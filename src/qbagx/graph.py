@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 import weakref
 from collections.abc import Collection, Set as AbstractSet
 from dataclasses import dataclass
@@ -31,7 +29,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import GraphFormatError, UnknownArgumentError
+from .errors import GraphFormatError, QbagError, UnknownArgumentError, checked_real
 
 Edge = tuple[str, str]
 
@@ -109,23 +107,25 @@ def make_qbag(
     return QBAG(ids, scores, attacks, supports)
 
 
-def _checked_scores(base_scores: Mapping[str, float]) -> dict[str, float]:
-    """The scores as floats, sorted by id, once ids and values are checked."""
-    ids = sorted(base_scores)
-    values = list(map(base_scores.__getitem__, ids))
+def _checked_scores(scores: Mapping[str, float], error: type[QbagError] = GraphFormatError,
+                    what: str = "base score of") -> dict[str, float]:
+    """The scores as floats, sorted by id, once the ids are checked to be
+    non-empty strings and the values reals (checked_real). Bulk passes
+    decide; only when one fails does a per-item loop raise `error` for the
+    first bad entry, naming a value as `what` and its id."""
+    if not (set(map(type, scores)) <= {str} and all(scores)):
+        for arg in scores:
+            if not isinstance(arg, str) or not arg:
+                raise error(f"argument id must be a non-empty string, got {arg!r}")
+    ids = sorted(scores)
+    values = list(map(scores.__getitem__, ids))
     try:  # math.isfinite raises OverflowError on an integer too large for a float
-        valid = (set(map(type, ids)) <= {str} and all(ids) and set(map(type, values)) <= {float, int}
-                 and all(map(math.isfinite, values)))
+        valid = set(map(type, values)) <= {float, int} and all(map(math.isfinite, values))
     except OverflowError:
         valid = False
     if not valid:
         for arg, value in zip(ids, values):
-            if not isinstance(arg, str) or not arg:
-                raise GraphFormatError(f"argument id must be a non-empty string, got {arg!r}")
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise GraphFormatError(f"base score of {arg!r} must be a real number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an integer too large for a float
-                raise GraphFormatError(f"base score of {arg!r} must be finite, got {value!r}")
+            checked_real(value, f"{what} {arg!r}", error)
     return dict(zip(ids, map(float, values)))
 
 

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .errors import checked_int
 from .explanation import DesiredOrdering, ExplanationQuery, amount_of_change
 from .generators import GenSpec, LayerStructure, generate_batch, mutable_preset
 from .search import SearchConfig, heuristic_search
@@ -80,8 +81,8 @@ class ExperimentConfig:
     bs_diff_per: str = "mutable"  # or "all": divide the change by |arguments|
 
     def __post_init__(self):
-        if self.n_graphs < 1:
-            raise ValueError("n_graphs must be >= 1")
+        object.__setattr__(self, "n_graphs", checked_int(self.n_graphs, "n_graphs", least=1))
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
         if self.bs_diff_per not in ("mutable", "all"):
             raise ValueError("bs_diff_per must be 'mutable' or 'all'")
 
@@ -182,8 +183,10 @@ def run_experiment(
     """Run every cell; optionally write the summary and per-graph CSVs.
 
     Per-graph seeds are fixed up front, so results do not depend on the
-    execution schedule.
+    execution schedule. `jobs` (at least 1) caps the worker processes;
+    no more start than there are tasks.
     """
+    jobs = checked_int(jobs, "jobs", least=1)
     tasks = []
     for struct in cfg.structures:
         for family, mode in cfg.cells:
@@ -194,10 +197,11 @@ def run_experiment(
                         (struct, family, mode, token, base + i, i, cfg.search, cfg.target, cfg.bs_diff_per)
                     )
 
-    if jobs > 1:
+    workers = min(jobs, len(tasks))  # a process pool starts all its workers at the first task
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=4))
     else:
         results = [_run_task(task) for task in tasks]

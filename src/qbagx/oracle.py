@@ -24,14 +24,13 @@ mutable set and the number of assignments keep the enumeration honest.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .explanation import ExplanationQuery, OrderingRule, StrengthChange, amount_of_change
+from .errors import BudgetError, DomainError, InvalidChangeError, checked_int, checked_real
+from .explanation import ExplanationQuery, OrderingRule, StrengthChange, amount_of_change, is_explanation
 from .semantics import PassBuffers, check_scores_in_domain, compile_graph, interval_pass
 
 
@@ -44,17 +43,16 @@ class GridSpec:
     max_points: int = 2_000_000  # cap on enumerated assignments; bounds time, not memory
 
     def __post_init__(self):
-        for bound in (self.step, self.lower, self.upper):
-            if bound is not None and not math.isfinite(bound):
-                raise ValueError("grid step and bounds must be finite")
-        if isinstance(self.step, bool) or self.step <= 0:
-            raise ValueError(f"grid step must be a positive number, got {self.step!r}")
+        object.__setattr__(self, "step", checked_real(self.step, "grid step"))
+        if self.step <= 0:
+            raise ValueError(f"grid step must be positive, got {self.step!r}")
+        for name in ("lower", "upper"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, checked_real(getattr(self, name), f"grid {name} bound"))
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise ValueError("grid lower bound exceeds its upper bound")
-        for name, least in (("max_mutable", 0), ("max_points", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        object.__setattr__(self, "max_mutable", checked_int(self.max_mutable, "max_mutable", least=0))
+        object.__setattr__(self, "max_points", checked_int(self.max_points, "max_points", least=1))
 
 
 @dataclass(frozen=True)
@@ -265,18 +263,25 @@ def certify_epsilon(
 ) -> str:
     """Grid verdict on epsilon-approximation of an explanation.
 
-    "no" when some grid explanation is cheaper by more than epsilon, decided
-    at the first box of the grid stream that holds one; "yes"
-    when either no explanation at all can be cheaper (norm(change) <=
-    epsilon) or the exhaustive grid minimum clears the discretization bound
-    norm(change) - epsilon + |mutable| * step; "unknown" in between. The
-    bound is conservative: finer grids turn unknowns into answers. Points
-    whose change amount is above it cannot move the verdict, and boxes of
-    them are not evaluated.
+    Checked first: `epsilon` is a real >= 0 (else ValueError) and the
+    change an explanation in `mode` (else InvalidChangeError). "no" when
+    some grid explanation is cheaper by more than epsilon, decided at the
+    first box of the grid stream that holds one; "yes" when either no
+    explanation at all can be cheaper (norm(change) <= epsilon) or the
+    exhaustive grid minimum clears the discretization bound norm(change) -
+    epsilon + |mutable| * step; "unknown" in between. The bound is
+    conservative: finer grids turn unknowns into answers. Points whose
+    change amount is above it cannot move the verdict, and boxes of them are
+    not evaluated. A grid over the cap raises BudgetError.
     """
+    epsilon = checked_real(epsilon, "epsilon")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     grid = grid or GridSpec()
     plan = compile_graph(query.graph)
     check_scores_in_domain(plan, query.semantics, plan.tau[:, None])  # before the answer that needs no grid
+    if not is_explanation(query, change, mode):
+        raise InvalidChangeError("change is not an explanation for the query")
     norm = amount_of_change(query.graph, change)
     if norm <= epsilon:
         return "yes"

@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GraphFormatError, UndefinedStrengthError, UnknownArgumentError
+from .errors import GraphFormatError, UndefinedStrengthError, UnknownArgumentError, checked_real
 from .explanation import DesiredOrdering, ExplanationQuery, ordering_from_tiers
 from .graph import QBAG, Edge, check_edges, make_qbag
 from .search import SearchConfig, SearchOutcome, _adam_search, _Workspace
@@ -76,6 +76,7 @@ class CounterfactualProblem:
     def __post_init__(self):
         if self.topic not in self.graph.base_scores:
             raise UnknownArgumentError(f"unknown topic argument: {self.topic!r}")
+        object.__setattr__(self, "target", checked_real(self.target, "target strength", GraphFormatError))
         if not self.semantics.domain.contains(self.target):
             raise GraphFormatError(f"target strength {self.target} outside the semantics domain")
         current = final_strengths(self.graph, self.semantics)[self.topic]

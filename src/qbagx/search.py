@@ -10,26 +10,24 @@ width-1 evaluation on the same plan before it is returned.
 
 A search allocates one workspace: the finite-difference batch and the
 level pass's buffers at its width (semantics.PassBuffers), refilled in
-place on every iteration, as are Adam's moment estimates. On acyclic plans
-the batch goes straight through the level pass, without evaluate_matrix's
-checks and defined mask; cyclic plans, with the same buffers, and the
-width-1 acceptance checks go through OrderingRule.strengths, which raises
-only when a topic's strength is undefined. The arithmetic is that of a
-fresh batch and a fresh Adam state per iteration (adam_step), so
-trajectories are the same bit for bit.
+place on every iteration. On acyclic plans the batch goes straight through
+the level pass, without evaluate_matrix's checks and defined mask; cyclic
+plans, with the same buffers, and the width-1 acceptance checks go through
+OrderingRule.strengths, which raises only when a topic's strength is
+undefined. The arithmetic is that of a fresh batch per iteration, so
+trajectories are the same bit for bit. Each iteration's Adam update is one
+adam_step on the restart's AdamState.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import UndefinedStrengthError
+from .errors import UndefinedStrengthError, checked_int, checked_real
 from .explanation import DesiredOrdering, ExplanationQuery, OrderingRule, StrengthChange
 from .semantics import GraphPlan, PassBuffers, SemanticsSpec, check_scores_in_domain, compile_graph, level_pass
 
@@ -53,21 +51,13 @@ class SearchConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        for name in ("max_iterations", "restarts", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, least in (("max_iterations", 1), ("restarts", 0), ("rng_seed", None)):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, least))
         if not isinstance(self.record_trajectory, bool):
             raise ValueError(f"record_trajectory must be true or false, got {self.record_trajectory!r}")
         for name in ("perturbation", "alpha", "alpha_decay", "beta1", "beta2", "adam_eps",
                      "cost_tolerance", "restart_jitter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
+            object.__setattr__(self, name, checked_real(getattr(self, name), name))
         if self.perturbation <= 0:
             raise ValueError("perturbation must be positive")
         if self.alpha <= 0:
@@ -245,9 +235,9 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[AdamState, np.ndarray]:
-    """One Adam update; returns the new state and the additive parameter
-    step. The search updates its own moment buffers in place with the same
-    arithmetic (_Adam); this is its reference."""
+    """One Adam update, the one each search iteration applies (from a zero
+    state at every restart); returns the new state and the additive
+    parameter step."""
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * gradients
     v = beta2 * state.v + (1.0 - beta2) * gradients**2
@@ -255,27 +245,6 @@ def adam_step(
     v_hat = v / (1.0 - beta2**t)
     step = -alpha * m_hat / (np.sqrt(v_hat) + eps)
     return AdamState(m, v, t), step
-
-
-class _Adam:
-    """Adam's state for one search run, updated in place: each step is
-    adam_step's arithmetic, operand for operand, in buffers the run owns."""
-
-    def __init__(self, size: int, cfg: SearchConfig):
-        self.m, self.v, self.t = np.zeros(size), np.zeros(size), 0
-        self.scratch, self.out = np.empty(size), np.empty(size)
-        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
-
-    def step(self, gradients: np.ndarray, alpha: float) -> np.ndarray:
-        """The additive parameter step, valid until the next call."""
-        m, v, scratch, out = self.m, self.v, self.scratch, self.out
-        self.t += 1
-        np.add(np.multiply(self.beta1, m, out=m), np.multiply(1.0 - self.beta1, gradients, out=scratch), out=m)
-        squared = np.multiply(1.0 - self.beta2, np.square(gradients, out=scratch), out=scratch)  # gradients**2
-        np.add(np.multiply(self.beta2, v, out=v), squared, out=v)
-        m_hat = np.divide(m, 1.0 - self.beta1**self.t, out=scratch)
-        root = np.add(np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=out), out=out), self.eps, out=out)
-        return np.divide(np.multiply(-alpha, m_hat, out=scratch), root, out=out)
 
 
 def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -307,7 +276,7 @@ def _adam_search(workspace: _Workspace, cfg: SearchConfig, trajectory: list[floa
             rng = np.random.default_rng(cfg.rng_seed + restart)
             jitter = rng.uniform(-cfg.restart_jitter, cfg.restart_jitter, size=len(m_idx))
             theta[m_idx] = spec.domain.clamp(plan.tau[m_idx] + jitter)
-        adam = _Adam(len(m_idx), cfg)
+        adam = AdamState(np.zeros(len(m_idx)), np.zeros(len(m_idx)))
         alpha = cfg.alpha
         for _ in range(cfg.max_iterations):
             total_iterations += 1
@@ -320,7 +289,8 @@ def _adam_search(workspace: _Workspace, cfg: SearchConfig, trajectory: list[floa
                     return workspace.outcome(True, theta, total_iterations, cost, trajectory)
                 if not np.any(grads):
                     break  # flat spot that fails the exact check: restart
-            theta[m_idx] = spec.domain.clamp(theta[m_idx] + adam.step(grads, alpha))
+            adam, step = adam_step(adam, grads, alpha, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            theta[m_idx] = spec.domain.clamp(theta[m_idx] + step)
             alpha *= cfg.alpha_decay
         cost_end, _ = workspace.check(theta, cfg)
         if cost_end < best_cost:

@@ -46,14 +46,12 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
-import sys
 from dataclasses import KW_ONLY, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import CyclicGraphError, DomainError
+from .errors import CyclicGraphError, DomainError, checked_int, checked_real
 from .graph import QBAG, parents_map, reachable_from, restrict, topological_levels
 
 # Absolute tolerance for float comparisons in principle checks.
@@ -99,20 +97,12 @@ class Influence:
     def __post_init__(self):
         if self.kind not in ("linear", "euler_based", "p_max", "additive"):
             raise ValueError(f"unknown influence kind: {self.kind!r}")
-        k, p = self.k, self.p
-        # a bool is an int, and an int too large for a float would overflow float()
-        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not abs(k) <= sys.float_info.max:
-            raise ValueError(f"influence k must be a finite number, got {k!r}")
-        if isinstance(p, bool) or not isinstance(p, numbers.Integral):
-            raise ValueError(f"influence p must be an integer, got {p!r}")
-        object.__setattr__(self, "k", float(k))  # as a float and an int, whatever numeric types came in
-        object.__setattr__(self, "p", int(p))
+        object.__setattr__(self, "k", checked_real(self.k, "influence k"))
+        object.__setattr__(self, "p", checked_int(self.p, "influence p", least=1 if self.kind == "p_max" else None))
         # linear divides by k; a k whose reciprocal overflows turns w / k
         # into inf and a zero aggregate's term into inf * 0 = NaN
         if not (0.0 < self.k and math.isfinite(1.0 / self.k)):
             raise ValueError("influence parameter k must be positive, finite and have a finite reciprocal")
-        if self.kind == "p_max" and self.p < 1:
-            raise ValueError("p_max needs a positive integer p")
 
 
 @dataclass(frozen=True)
@@ -133,11 +123,11 @@ class SemanticsSpec:
         if self.aggregation not in ("sum", "product"):
             raise ValueError(f"unknown aggregation: {self.aggregation!r}")
         # a NaN epsilon would settle no column and then leave every strength defined
-        if isinstance(self.epsilon, bool) or not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be a positive finite number, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", checked_real(self.epsilon, "epsilon"))
+        if self.epsilon <= 0.0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         # no sweep at all would report the base scores as settled strengths
-        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be an integer of at least 1, got {self.max_sweeps!r}")
+        object.__setattr__(self, "max_sweeps", checked_int(self.max_sweeps, "max_sweeps", least=1))
         # a product aggregate lies in [-1, 1] while strengths stay in [0, 1]
         inf = self.influence
         if self.aggregation == "product" and (inf.kind == "additive" or inf.kind == "linear" and inf.k < 1.0):

@@ -1,0 +1,105 @@
+"""The one number rule at the boundary.
+
+Every real that enters qbagx goes through errors.checked_real (a
+numbers.Real, not a bool, that fits a float) and every integer through
+errors.checked_int (a numbers.Integral, not a bool, not below its least
+value). The table names each field or argument that takes a number, the
+error class it raises, and runs it against values it must refuse. 10**400
+is an integer, so it is refused only where a real is wanted.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+import qbagx as q
+from qbagx.cli import main
+from qbagx.errors import GraphFormatError, InvalidChangeError
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qbagx"
+
+NOT_REAL = [True, "0.5", None, math.nan, math.inf, -math.inf, 10**400]
+NOT_INT = [True, "0.5", None, math.nan, math.inf, -math.inf, 1.5]
+
+GRAPH = q.make_qbag({"a": 0.5, "t": 0.4}, supports=[("a", "t")])
+QUERY = q.ExplanationQuery(GRAPH, q.DFQUAD, frozenset({"a"}), q.ordering_from_spec("t>a"))
+EXPERIMENT = dict(structures=(q.structure((2, 2)),), cells=(("random", "all"),))
+
+
+def _search(name):
+    return lambda v: q.SearchConfig(**{name: v})
+
+
+# name: (error, build from the value)
+REALS = {
+    "base score": (GraphFormatError, lambda v: q.make_qbag({"a": v})),
+    "strength change entry": (InvalidChangeError, lambda v: q.StrengthChange({"a": v})),
+    "influence k": (ValueError, lambda v: q.Influence("linear", k=v)),
+    "semantics epsilon": (ValueError, lambda v: q.SemanticsSpec("sum", q.Influence("euler_based"), epsilon=v)),
+    "grid step": (ValueError, lambda v: q.GridSpec(step=v)),
+    "grid lower": (ValueError, lambda v: q.GridSpec(lower=v)),
+    "grid upper": (ValueError, lambda v: q.GridSpec(upper=v)),
+    "counterfactual target": (GraphFormatError, lambda v: q.CounterfactualProblem(GRAPH, "t", v, q.DFQUAD)),
+    "certify epsilon": (ValueError, lambda v: q.certify_epsilon(QUERY, q.EMPTY_CHANGE, v)),
+    **{f"search {name}": (ValueError, _search(name))
+       for name in ("perturbation", "alpha", "alpha_decay", "beta1", "beta2", "adam_eps", "cost_tolerance",
+                    "restart_jitter")},
+}
+
+# name: (error, build from the value, least value or None)
+INTS = {
+    "influence p": (ValueError, lambda v: q.Influence("p_max", p=v), 1),
+    "semantics max_sweeps": (ValueError, lambda v: q.SemanticsSpec("sum", q.Influence("euler_based"), max_sweeps=v), 1),
+    "grid max_mutable": (ValueError, lambda v: q.GridSpec(max_mutable=v), 0),
+    "grid max_points": (ValueError, lambda v: q.GridSpec(max_points=v), 1),
+    "layer size": (ValueError, lambda v: q.LayerStructure((2, v)), 1),
+    "experiment n_graphs": (ValueError, lambda v: q.ExperimentConfig(**EXPERIMENT, n_graphs=v), 1),
+    "experiment seed": (ValueError, lambda v: q.ExperimentConfig(**EXPERIMENT, seed=v), None),
+    "experiment jobs": (ValueError, lambda v: q.run_experiment(q.ExperimentConfig(**EXPERIMENT), jobs=v), 1),
+    "search max_iterations": (ValueError, _search("max_iterations"), 1),
+    "search restarts": (ValueError, _search("restarts"), 0),
+    "search rng_seed": (ValueError, _search("rng_seed"), None),
+}
+
+CASES = [pytest.param(error, build, value, id=f"{name}={value!r:.12}")
+         for name, (error, build) in REALS.items() for value in NOT_REAL
+         if not (value is None and name.startswith("grid "))]  # a grid bound of None is the domain's
+CASES += [pytest.param(error, build, value, id=f"{name}={value!r:.12}")
+          for name, (error, build, least) in INTS.items()
+          for value in NOT_INT + ([] if least is None else [least - 1])]
+
+
+@pytest.mark.parametrize("error, build, value", CASES)
+def test_every_number_at_the_boundary_is_checked(error, build, value):
+    with pytest.raises(error, match="must be"):
+        build(value)
+
+
+def test_accepted_numbers_are_stored_as_floats_and_ints():
+    """A bool entry used to become a base score through apply_change."""
+    change = q.StrengthChange({"t": 1, "a": 0.25})
+    assert list(change.entries.items()) == [("a", 0.25), ("t", 1.0)] and type(change.entries["t"]) is float
+    assert type(q.apply_change(GRAPH, change).base_scores["t"]) is float
+    grid = q.GridSpec(step=1, lower=0, upper=4)
+    assert (type(grid.step), type(grid.lower), type(grid.upper)) == (float, float, float)
+
+
+def test_a_search_config_value_too_large_for_a_float_exits_2(tmp_path, capsys):
+    """A 400-digit alpha used to end qbagx explain in an OverflowError traceback."""
+    graph, config = tmp_path / "g.json", tmp_path / "search.json"
+    graph.write_bytes(q.serialize_qbag(GRAPH))
+    config.write_text('{"alpha": 1' + "0" * 400 + "}")
+    code = main(["explain", "--graph", str(graph), "--semantics", "dfquad", "--ordering", "t>a",
+                 "--mutable", "a", "--search-config", str(config)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: alpha must be finite")
+
+
+def test_only_errors_py_holds_the_number_rule():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            source = path.read_text()
+            assert not re.search(r"^\s*(import|from)\s+numbers\b", source, re.M), path.name
+            assert "float_info" not in source, path.name

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import json
 
 import pytest
@@ -162,6 +164,23 @@ def test_oracle_certify(fig_file, tmp_path, capsys):
     assert json.loads(out)["verdict"] == "no"
 
 
+@pytest.mark.parametrize("changes, epsilon", [
+    ('{"a":0.5}', "1.0"),  # not an explanation: it used to get "yes"
+    ('{"a":2.0,"e":4.0}', "-1"),  # used to get "no"
+    ('{"a":2.0,"e":4.0}', "nan"),  # used to print {"epsilon":NaN,...}, which is not JSON
+])
+def test_oracle_certify_refuses_bad_input(fig_file, tmp_path, capsys, changes, epsilon):
+    change = tmp_path / "change.json"
+    change.write_text('{"changes":%s}' % changes)
+    code, out, err = run_cli(
+        capsys, "oracle", "--graph", fig_file, "--semantics", "naive",
+        "--ordering", "c>b", "--mutable", "a,e",
+        "--grid-step", "0.25", "--lower", "0", "--upper", "4",
+        "--certify", str(change), "--epsilon", epsilon,
+    )
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
 @pytest.mark.parametrize("bounds", [("--lower", "4", "--upper", "0"), ("--lower", "-1", "--upper", "1")])
 def test_oracle_rejects_bad_grid_bounds(tmp_path, capsys, bounds):
     g = q.make_qbag({"a": 0.5, "b": 0.6, "t": 0.5}, attacks=[("a", "t")])
@@ -300,6 +319,54 @@ def test_experiment_rejects_malformed_configs(tmp_path, capsys, change):
     assert code == 2 and err.startswith("error:")
     path.write_text(json.dumps([EXPERIMENT]))
     assert run_cli(capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", "1")[0] == 2
+
+
+def test_experiment_jobs_are_bounded(tmp_path, capsys, monkeypatch):
+    """A process pool forks all its workers at the first task, so a large
+    QBAG_SX_JOBS used to fork that many for one task."""
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setenv("QBAG_SX_JOBS", "64")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(EXPERIMENT))  # one task
+    assert run_cli(capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "out"))[0] == 0
+    assert pools == []
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "out"),
+                                 "--jobs", jobs)
+        assert (code, out) == (2, "") and err.startswith("error: jobs must be >= 1")
+
+
+def test_options_take_long_inline_values_or_files(tmp_path, capsys):
+    """--semantics, --ordering and --search-config follow one inline-or-file
+    rule. A value over 255 bytes used to exit 2 with "File name too long"
+    from the file check: the full default search config inline (259
+    characters) and a 40-topic ordering spec (319)."""
+    ids = [f"topic{i:02d}" for i in range(40)]
+    graph = tmp_path / "g.json"
+    graph.write_bytes(q.serialize_qbag(q.make_qbag({a: 0.01 * (i + 1) for i, a in enumerate(ids)})))
+    inline = {
+        "--semantics": '{"aggregation":"sum","influence":{"kind":"linear","k":1}}',
+        "--ordering": ">".join(reversed(ids)),
+        "--search-config": json.dumps(dataclasses.asdict(q.SearchConfig())),
+    }
+    assert len(inline["--ordering"]) == 319 and len(inline["--search-config"]) == 259
+    files = {}
+    for option, text in inline.items():
+        files[option] = tmp_path / f"{option[2:]}.json"
+        files[option].write_text(text if option != "--ordering" else json.dumps({"tiers": [[a] for a in ids]}))
+    outputs = []
+    for values in (inline, files):
+        argv = ["explain", "--graph", str(graph), "--mutable", "topic00"]
+        code, out, err = run_cli(capsys, *argv, *(str(x) for pair in values.items() for x in pair))
+        assert code == 0 and json.loads(out)["change"] == {}, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_jobs_env_var_fallback(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import csv
 import warnings
 from pathlib import Path
@@ -112,6 +113,29 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return q.ExperimentConfig(**base)
+
+
+def test_run_experiment_starts_at_most_one_worker_per_task(monkeypatch):
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = small_config(cells=(("random", "all"),), n_graphs=3, search=q.SearchConfig(max_iterations=2))
+    assert len(q.run_experiment(cfg, jobs=64)) == 1 and started == [3]
+    q.run_experiment(cfg, jobs=1)
+    assert started == [3]
 
 
 def test_run_experiment_smoke(tmp_path):

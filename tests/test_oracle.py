@@ -8,7 +8,7 @@ import pytest
 
 import qbagx as q
 import qbagx.oracle
-from qbagx.errors import BudgetError, DomainError
+from qbagx.errors import BudgetError, DomainError, InvalidChangeError
 
 import qbagx.explanation
 from qbagx.oracle import _grid_count, _grid_values, _on_grid
@@ -229,12 +229,17 @@ def test_streamed_oracle_matches_single_batch_reference(monkeypatch):
 def test_early_exit_certification_matches_full_minimum(monkeypatch):
     monkeypatch.setattr(qbagx.oracle, "_CHUNK", 7)
     rng = np.random.default_rng(0)
-    seen = set()
+    seen, refused = set(), 0
     for query, grid in _reference_queries():
         _, best_norm, _ = brute_force_reference(query, grid, "weak")
         slack = len(query.mutable) * grid.step
         for _ in range(3):
             change = q.StrengthChange({a: float(rng.random()) for a in sorted(query.mutable) if rng.random() < 0.8})
+            if not q.is_explanation(query, change, "weak"):
+                with pytest.raises(InvalidChangeError, match="not an explanation"):
+                    q.certify_epsilon(query, change, 0.0, grid, "weak")
+                refused += 1
+                continue
             norm = q.amount_of_change(query.graph, change)
             for epsilon in (0.0, 0.1, 0.3):
                 if norm <= epsilon or norm - epsilon + slack <= best_norm:
@@ -245,7 +250,7 @@ def test_early_exit_certification_matches_full_minimum(monkeypatch):
                     expected = "unknown"
                 assert q.certify_epsilon(query, change, epsilon, grid, "weak") == expected
                 seen.add(expected)
-    assert seen == {"yes", "no", "unknown"}
+    assert seen == {"yes", "no", "unknown"} and refused
 
 
 def test_exact_mode_witnesses_are_exact_explanations():

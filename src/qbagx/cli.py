@@ -18,11 +18,12 @@ from .errors import GraphFormatError, QbagError
 from .explanation import (
     ExplanationQuery,
     change_from_json,
+    ordering_from_doc,
     ordering_from_json,
     ordering_from_spec,
 )
 from .generators import GenSpec, generate_batch, structure
-from .graph import parse_qbag, serialize_qbag
+from .graph import _parse_edges, parse_qbag, serialize_qbag
 from .metrics import ExperimentConfig, run_experiment
 from .oracle import GridSpec, brute_force_search, certify_epsilon
 from .reductions import (
@@ -159,20 +160,24 @@ def _list_of(value, kind: type, size: int | None = None) -> bool:
     return type(value) is list and size in (None, len(value)) and all(type(v) is kind for v in value)
 
 
+_PROBLEM_KEYS = {"arguments", "attacks", "supports", "ordering"}
+
+
 def _cmd_inverse(args) -> int:
+    """The problem document follows the graph document's rules: unknown keys
+    are rejected, and its edges and ordering go through the graph's and the
+    ordering document's checks."""
     doc = json.loads(Path(args.problem).read_bytes())
-    if type(doc) is not dict or type(doc.get("ordering")) is not dict:
+    if type(doc) is not dict or not {"arguments", "ordering"} <= doc.keys():
         raise GraphFormatError('problem document must be an object with "arguments" and "ordering"')
-    if not _list_of(doc.get("arguments"), str):
+    unknown = doc.keys() - _PROBLEM_KEYS
+    if unknown:
+        raise GraphFormatError(f"unknown keys in problem document: {sorted(unknown)}")
+    if not _list_of(doc["arguments"], str):
         raise GraphFormatError('problem "arguments" must be a list of argument ids')
-    for key in ("attacks", "supports"):
-        edges = doc.get(key, [])
-        if not (_list_of(edges, list) and all(_list_of(e, str, 2) for e in edges)):
-            raise GraphFormatError(f'problem "{key}" must be a list of [from, to] pairs')
-    tiers = doc["ordering"].get("tiers")
-    if not (_list_of(tiers, list) and all(_list_of(t, str) for t in tiers)):
-        raise GraphFormatError('problem "ordering" must be {"tiers": [[id, ...], ...]}')
-    problem = make_inverse_problem(doc["arguments"], doc.get("attacks", []), doc.get("supports", []), tiers)
+    attacks, supports = (_parse_edges(doc.get(key, []), key) for key in ("attacks", "supports"))
+    ordering = ordering_from_doc(doc["ordering"])
+    problem = make_inverse_problem(doc["arguments"], attacks, supports, ordering.tiers)
     spec = _load_semantics(args.semantics)
     cfg = _load_search_config(args.search_config) if args.search_config else None
     solution = solve_inverse(problem, spec, cfg)
@@ -222,8 +227,7 @@ def _cmd_experiment(args) -> int:
         target=doc.get("target", "permuted"),
         bs_diff_per=doc.get("bs_diff_per", "mutable"),
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made by run_experiment once its runs are done
     summary = out / "summary.csv"
     per_graph = out / "per_graph.csv"
     records = run_experiment(cfg, jobs=args.jobs, summary_path=summary, per_graph_path=per_graph)
@@ -302,10 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _default_jobs() -> int:
+    """QBAG_SX_JOBS as given (run_experiment refuses one below 1, as it does
+    --jobs), or the CPU count when it is unset or not an integer."""
     env = os.environ.get("QBAG_SX_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             pass
     return os.cpu_count() or 1

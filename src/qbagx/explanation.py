@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     UnknownArgumentError,
 )
 from .graph import QBAG, _checked_scores, reject_constant
-from .semantics import SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix, final_strengths
+from .semantics import GraphPlan, SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix, final_strengths
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,11 @@ def ordering_from_json(data: str | bytes) -> DesiredOrdering:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid ordering JSON: {exc}") from exc
+    return ordering_from_doc(doc)
+
+
+def ordering_from_doc(doc: object) -> DesiredOrdering:
+    """The ordering of a parsed {"tiers": [[id, ...], ...]} document."""
     tiers = doc["tiers"] if isinstance(doc, dict) and set(doc) == {"tiers"} else None
     if not (type(tiers) is list and all(type(t) is list and all(type(x) is str and x for x in t) for t in tiers)):
         raise GraphFormatError('ordering document must be {"tiers": [[id, ...], ...]} with non-empty string ids')
@@ -148,10 +154,27 @@ class ExplanationQuery:
     ordering: DesiredOrdering
 
     def __post_init__(self):
+        for name, kind in (("graph", QBAG), ("semantics", SemanticsSpec), ("ordering", DesiredOrdering)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"query {name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if isinstance(self.mutable, str):  # a string would mean the set of its characters
+            raise ValueError(f"query mutable must be a collection of argument ids, got {self.mutable!r}")
         object.__setattr__(self, "mutable", frozenset(self.mutable))
         missing = (self.mutable | self.ordering.topic_set) - set(self.graph.arguments)
         if missing:
             raise UnknownArgumentError(f"query names unknown arguments: {sorted(missing)}")
+
+    @cached_property
+    def compiled(self) -> tuple[GraphPlan, OrderingRule, np.ndarray]:
+        """(plan, rule, mutable rows in id order), built on first use with the
+        base scores checked (DomainError) and shared by every call on the query."""
+        plan = compile_graph(self.graph)
+        check_scores_in_domain(plan, self.semantics, plan.tau[:, None])
+        rows = np.array([plan.index[a] for a in sorted(self.mutable)], dtype=int)
+        return plan, OrderingRule(plan.index, self.ordering), rows
+
+    def __getstate__(self):  # a copy or an unpickled query compiles again
+        return {k: v for k, v in self.__dict__.items() if k != "compiled"}
 
 
 def induced_ordering(g: QBAG, spec: SemanticsSpec, topics) -> set[tuple[str, str]]:
@@ -292,16 +315,15 @@ def is_explanation(
     tolerance: float = 0.0,
 ) -> bool:
     """True iff the change stays within the mutable set and its application
-    satisfies the desired ordering."""
+    satisfies the desired ordering. A base score outside the domain raises
+    DomainError, even one the change overwrites."""
     if not change.domain <= query.mutable:
         return False
     validate_change(query.graph, change, query.semantics.domain)
-    plan = compile_graph(query.graph)
-    rule = OrderingRule(plan.index, query.ordering)
+    plan, rule, _ = query.compiled
     tau = plan.tau.copy()
     for x, v in change.entries.items():
         tau[plan.index[x]] = v
-    check_scores_in_domain(plan, query.semantics, tau[:, None])
     sigma = rule.strengths(plan, query.semantics, tau[:, None])
     return bool(rule.holds(sigma, mode, tolerance)[0])
 

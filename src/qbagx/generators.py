@@ -196,9 +196,14 @@ def generate_batch(spec: GenSpec, count: int) -> list[GeneratedInstance]:
     ]
 
 
-def mutable_preset(instance: GeneratedInstance, mode: str) -> frozenset[str]:
+def check_mutable_mode(family: str, mode: str) -> None:
+    """Reject a mutable mode that the instances of `family` do not have."""
     if mode not in MUTABLE_MODES:
         raise ValueError(f"unknown mutable mode: {mode!r}")
-    if mode == "constrained" and instance.family != "constrained":
+    if mode == "constrained" and family != "constrained":
         raise ValueError("the 'constrained' preset only exists for constrained instances")
+
+
+def mutable_preset(instance: GeneratedInstance, mode: str) -> frozenset[str]:
+    check_mutable_mode(instance.family, mode)
     return instance.mutable_presets[mode]

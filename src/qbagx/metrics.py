@@ -17,13 +17,14 @@ import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import checked_int
 from .explanation import DesiredOrdering, ExplanationQuery, amount_of_change
-from .generators import GenSpec, LayerStructure, generate_batch, mutable_preset
+from .generators import GenSpec, LayerStructure, check_mutable_mode, generate_batch, mutable_preset
 from .search import SearchConfig, heuristic_search
 from .semantics import builtin_semantics, final_strengths
 
@@ -85,6 +86,13 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
         if self.bs_diff_per not in ("mutable", "all"):
             raise ValueError("bs_diff_per must be 'mutable' or 'all'")
+        # every run's inputs are checked here, before the first search
+        for token in self.semantics:
+            builtin_semantics(token)
+        for struct in self.structures:
+            for family, mode in self.cells:
+                GenSpec(struct, family, self.seed, self.target)
+                check_mutable_mode(family, mode)
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,8 @@ def run_experiment(
     summary_path=None,
     per_graph_path=None,
 ) -> list[ExperimentRecord]:
-    """Run every cell; optionally write the summary and per-graph CSVs.
+    """Run every cell; optionally write the summary and per-graph CSVs,
+    making their directories once the runs are done.
 
     Per-graph seeds are fixed up front, so results do not depend on the
     execution schedule. `jobs` (at least 1) caps the worker processes;
@@ -231,6 +240,9 @@ def run_experiment(
         )
     records.sort(key=lambda r: (r.structure, r.family, r.mode, r.semantics))
 
+    for path in (summary_path, per_graph_path):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     if summary_path is not None:
         write_summary_csv(records, summary_path)
     if per_graph_path is not None:

@@ -30,8 +30,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetError, DomainError, InvalidChangeError, checked_int, checked_real
-from .explanation import ExplanationQuery, OrderingRule, StrengthChange, amount_of_change, is_explanation
-from .semantics import PassBuffers, check_scores_in_domain, compile_graph, interval_pass
+from .explanation import ExplanationQuery, StrengthChange, amount_of_change, is_explanation
+from .semantics import PassBuffers, interval_pass
 
 
 @dataclass(frozen=True)
@@ -181,26 +181,21 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str,
     running minimum join the tie-break. The buffers belong to this call; a
     narrower box views a prefix of them. The grid is counted, and the cap
     enforced, before any of it is made."""
-    g = query.graph
     spec = query.semantics
-    m_ids = sorted(query.mutable)
-    if len(m_ids) > grid.max_mutable:
-        raise BudgetError(f"{len(m_ids)} mutable arguments exceed the cap of {grid.max_mutable}")
+    if len(query.mutable) > grid.max_mutable:
+        raise BudgetError(f"{len(query.mutable)} mutable arguments exceed the cap of {grid.max_mutable}")
 
-    plan = compile_graph(g)
-    check_scores_in_domain(plan, spec, plan.tau[:, None])
-    rule = OrderingRule(plan.index, query.ordering)
+    plan, rule, rows = query.compiled
     lower, count = _grid_count(grid, spec.domain)
-    tau_m = [g.base_scores[a] for a in m_ids]
+    tau_m = plan.tau[rows].tolist()
     on_grid = [_on_grid(tau_a, lower, grid.step, count) for tau_a in tau_m]
     shape = tuple(count + (not on) for on in on_grid)  # each score off the grid is one more candidate
     total = math.prod(shape)
     if total > grid.max_points:
         raise BudgetError(f"{total} grid assignments exceed the cap of {grid.max_points}")
 
-    values = _grid_values(grid, spec.domain) if m_ids else None
+    values = _grid_values(grid, spec.domain) if tau_m else None
     candidates = [values if on else np.sort(np.append(values, tau_a)) for on, tau_a in zip(on_grid, tau_m)]
-    rows = [plan.index[a] for a in m_ids]
     chunk = _chunk_width(plan.n, total)
     pairs = rule.required(mode) if plan.acyclic else None
     boxes = _surviving_boxes(plan, spec, pairs, candidates, rows, chunk, bound)
@@ -232,7 +227,7 @@ def _running_minimum(query: ExplanationQuery, grid: GridSpec, mode: str,
             box_norm = float(norm.min())
             if box_norm <= best_norm:
                 box_entries = min(
-                    [(a, float(batch[row, col])) for a, row in zip(m_ids, rows) if batch[row, col] != g.base_scores[a]]
+                    [(plan.ids[row], float(batch[row, col])) for row, tau_a in zip(rows, tau_m) if batch[row, col] != tau_a]
                     for col in np.flatnonzero(norm == box_norm)
                 )
                 if box_norm < best_norm or box_entries < best_entries:
@@ -278,8 +273,7 @@ def certify_epsilon(
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     grid = grid or GridSpec()
-    plan = compile_graph(query.graph)
-    check_scores_in_domain(plan, query.semantics, plan.tau[:, None])  # before the answer that needs no grid
+    query.compiled  # checks the base scores before the answer that needs no grid
     if not is_explanation(query, change, mode):
         raise InvalidChangeError("change is not an explanation for the query")
     norm = amount_of_change(query.graph, change)

@@ -201,7 +201,7 @@ def _solve(query: ExplanationQuery, cfg: SearchConfig) -> SearchOutcome:
     Both phases run at most cfg.max_iterations batches per run (the fallback
     once per restart), and iterations_used counts the batches of both.
     """
-    ws = _Workspace.for_query(query, cfg.perturbation)
+    ws = _Workspace(query, cfg.perturbation)
     trajectory = [] if cfg.record_trajectory else None
     clamp, lower, upper = ws.spec.domain.clamp, ws.spec.domain.lower, ws.spec.domain.upper
     m_idx, rule = ws.m_idx, ws.rule

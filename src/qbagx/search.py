@@ -1,6 +1,6 @@
 """Iterative heuristic search for strength change explanations.
 
-The graph compiles once per search. Each iteration evaluates the
+A search runs on the query's compiled plan. Each iteration evaluates the
 order-violation cost, estimates its gradient with respect to every mutable
 base score by finite differences (one batched strength evaluation covers
 the unperturbed point plus all perturbations), and applies an Adam update
@@ -28,8 +28,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import UndefinedStrengthError, checked_int, checked_real
-from .explanation import DesiredOrdering, ExplanationQuery, OrderingRule, StrengthChange
-from .semantics import GraphPlan, PassBuffers, SemanticsSpec, check_scores_in_domain, compile_graph, level_pass
+from .explanation import DesiredOrdering, ExplanationQuery, StrengthChange
+from .semantics import PassBuffers, SemanticsSpec, level_pass
 
 
 @dataclass(frozen=True)
@@ -138,22 +138,13 @@ class _Workspace:
     batch (theta in column 0, theta with mutable score j perturbed in column
     j + 1) and the level pass's buffers at its width, strengths included."""
 
-    def __init__(self, plan: GraphPlan, spec: SemanticsSpec, rule: OrderingRule, m_idx: np.ndarray, eps: float):
-        self.plan, self.spec, self.rule, self.m_idx, self.eps = plan, spec, rule, m_idx, eps
-        self.batch = np.empty((plan.n, len(m_idx) + 1))
-        self.buffers = PassBuffers(plan, len(m_idx) + 1)
-        self.cols = np.arange(1, len(m_idx) + 1)
-        self.upper = spec.domain.upper  # inf on an unbounded domain: every step is forward
-
-    @classmethod
-    def for_query(cls, query: ExplanationQuery, eps: float) -> "_Workspace":
-        """Compile the query's graph (once) and check its base scores."""
-        spec = query.semantics
-        plan = compile_graph(query.graph)
-        check_scores_in_domain(plan, spec, plan.tau[:, None])
-        rule = OrderingRule(plan.index, query.ordering)
-        m_idx = np.array([plan.index[a] for a in sorted(query.mutable)], dtype=int)
-        return cls(plan, spec, rule, m_idx, eps)
+    def __init__(self, query: ExplanationQuery, eps: float):
+        self.plan, self.rule, self.m_idx = query.compiled
+        self.spec, self.eps = query.semantics, eps
+        self.batch = np.empty((self.plan.n, len(self.m_idx) + 1))
+        self.buffers = PassBuffers(self.plan, len(self.m_idx) + 1)
+        self.cols = np.arange(1, len(self.m_idx) + 1)
+        self.upper = self.spec.domain.upper  # inf on an unbounded domain: every step is forward
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """Strengths of the batch at theta. Each mutable score steps forward,
@@ -165,8 +156,7 @@ class _Workspace:
         self.dirs = np.where(base + self.eps > self.upper, -1.0, 1.0)
         batch[self.m_idx, self.cols] = base + self.dirs * self.eps
         if self.plan.acyclic:
-            sigma = self.buffers.sigma
-            return level_pass(self.plan, self.spec, batch, sigma, sigma, self.buffers)
+            return level_pass(self.plan, self.spec, batch, self.buffers.sigma, self.buffers)
         return self.rule.strengths(self.plan, self.spec, batch, self.buffers)
 
     def costs(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -215,7 +205,7 @@ def finite_diff_gradient(
 ) -> dict[str, float]:
     """Difference-quotient gradient of the cost w.r.t. each mutable base score."""
     query = ExplanationQuery(g, spec, mutable, ordering)
-    workspace = _Workspace.for_query(query, eps)
+    workspace = _Workspace(query, eps)
     _, grads = workspace.costs(workspace.plan.tau)
     return {a: float(v) for a, v in zip(sorted(query.mutable), grads)}
 
@@ -255,7 +245,7 @@ def heuristic_search(query: ExplanationQuery, cfg: SearchConfig | None = None) -
     scores with uniform jitter around the originals.
     """
     cfg = cfg or SearchConfig()
-    workspace = _Workspace.for_query(query, cfg.perturbation)
+    workspace = _Workspace(query, cfg.perturbation)
     return _adam_search(workspace, cfg, [] if cfg.record_trajectory else None)
 
 

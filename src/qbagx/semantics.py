@@ -156,7 +156,7 @@ def builtin_semantics(token: str) -> SemanticsSpec:
     """Look up a semantics by its string token: dfquad | eb | qe | naive."""
     try:
         return _BUILTINS[token]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable token, such as a list
         raise ValueError(f"unknown semantics token: {token!r} (expected one of {sorted(_BUILTINS)})")
 
 
@@ -254,6 +254,7 @@ class GraphPlan:
         self.core = topology.core
         self.acyclic = self.core is None
         self.tau = np.fromiter(map(g.base_scores.__getitem__, self.ids), dtype=float, count=self.n)
+        self.tau.flags.writeable = False  # read-only: a query's calls share its plan
 
 
 def compile_graph(g: QBAG) -> GraphPlan:
@@ -355,14 +356,12 @@ def level_pass(
     plan: GraphPlan,
     spec: SemanticsSpec,
     tau: np.ndarray,
-    src: np.ndarray,
     out: np.ndarray,
     buffers: PassBuffers | None = None,
 ) -> np.ndarray:
-    """Evaluate every block in order: out[rows] = influence(tau[rows],
-    aggregate(src[cols])). With out is src this is the exact forward pass over
-    topological levels; with another out it is one synchronous sweep. No
-    checks: tau, src and out have shape (n_arguments, batch).
+    """The exact forward pass over topological levels: every block in order,
+    out[rows] = influence(tau[rows], aggregate(out[cols])). No checks: tau and
+    out have shape (n_arguments, batch).
 
     With `buffers` (made for this plan at this batch width) every
     intermediate goes into them and the pass allocates nothing; without,
@@ -370,11 +369,11 @@ def level_pass(
     ufunc gets the operands, in the order, of the operator expression it
     stands for, so the strengths are the same bit for bit either way."""
     views = (_ALLOCATE,) * len(plan.blocks) if buffers is None else buffers.views(spec)
-    _blocks_pass(plan.blocks, views, spec, tau, src, out)
+    _blocks_pass(plan.blocks, views, spec, tau, out)
     return out
 
 
-def _blocks_pass(blocks: tuple, views: tuple, spec: SemanticsSpec, tau, src, out) -> None:
+def _blocks_pass(blocks: tuple, views: tuple, spec: SemanticsSpec, tau, out) -> None:
     """level_pass over `blocks`, each with its views."""
     inf = spec.influence
     for (rows, cols, w, att, supp), (parents, tau_rows, work) in zip(blocks, views):
@@ -386,7 +385,7 @@ def _blocks_pass(blocks: tuple, views: tuple, spec: SemanticsSpec, tau, src, out
         if not w.size:  # parentless: the aggregate is 0
             result = _parentless(inf, base, dest, t1, t2)
         else:
-            gathered = src[cols] if isinstance(cols, slice) else src.take(cols, axis=0, out=parents, mode="clip")
+            gathered = out[cols] if isinstance(cols, slice) else out.take(cols, axis=0, out=parents, mode="clip")
             if spec.aggregation == "sum":
                 agg = np.matmul(w, gathered, agg)
             else:
@@ -437,9 +436,9 @@ def _fixed_point(
     parts keep their values.
     """
     sigma, k, views = buffers.sigma, plan.core, buffers.views(spec)
-    _blocks_pass(plan.blocks[:k], views[:k], spec, tau, sigma, sigma)
+    _blocks_pass(plan.blocks[:k], views[:k], spec, tau, sigma)
     unstable = _sweep_core(plan.blocks[k], views[k], spec, tau, sigma, buffers.core_state)
-    _blocks_pass(plan.blocks[k + 1 :], views[k + 1 :], spec, tau, sigma, sigma)
+    _blocks_pass(plan.blocks[k + 1 :], views[k + 1 :], spec, tau, sigma)
     if unstable is None:
         return sigma, np.ones(tau.shape, dtype=bool)
     moving = np.zeros(tau.shape, dtype=bool)
@@ -563,7 +562,7 @@ def evaluate_matrix(
     if not plan.acyclic:
         return _fixed_point(plan, spec, tau, PassBuffers(plan, tau.shape[1]) if buffers is None else buffers)
     sigma = np.empty_like(tau) if buffers is None else buffers.sigma
-    return level_pass(plan, spec, tau, sigma, sigma, buffers), np.ones(tau.shape, dtype=bool)
+    return level_pass(plan, spec, tau, sigma, buffers), np.ones(tau.shape, dtype=bool)
 
 
 def check_scores_in_domain(plan: GraphPlan, spec: SemanticsSpec, tau: np.ndarray) -> None:

@@ -103,3 +103,18 @@ def test_only_errors_py_holds_the_number_rule():
             source = path.read_text()
             assert not re.search(r"^\s*(import|from)\s+numbers\b", source, re.M), path.name
             assert "float_info" not in source, path.name
+
+
+@pytest.mark.parametrize("field, value", [
+    ("graph", {"a": 0.5, "t": 0.4}),
+    ("semantics", "dfquad"),
+    ("mutable", "at"),
+    ("ordering", "t>a"),
+    ("ordering", (frozenset({"a"}), frozenset({"t"}))),
+])
+def test_a_query_checks_its_fields(field, value):
+    """A string of mutable ids used to mean the set of its characters, and a
+    semantics or ordering of the wrong type failed later with an AttributeError."""
+    fields = dict(graph=GRAPH, semantics=q.DFQUAD, mutable=frozenset({"a"}), ordering=QUERY.ordering)
+    with pytest.raises(ValueError, match=f"query {field} must be"):
+        q.ExplanationQuery(**{**fields, field: value})

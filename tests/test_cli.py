@@ -287,6 +287,8 @@ INVERSE_PROBLEM = {"arguments": ["a", "b"], "attacks": [["a", "b"]], "ordering":
     {"attacks": [["a"]]},
     {"supports": 5},
     {"attacks": [["a", "zzz"]]},
+    {"bogus_key": 1},
+    {"ordering": {"tiers": [["a"], ["b"]], "bogus_key": 1}},
 ])
 def test_inverse_rejects_malformed_problems(tmp_path, capsys, change):
     path = tmp_path / "problem.json"
@@ -340,6 +342,26 @@ def test_experiment_jobs_are_bounded(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "out"),
                                  "--jobs", jobs)
         assert (code, out) == (2, "") and err.startswith("error: jobs must be >= 1")
+
+
+@pytest.mark.parametrize("change", [{"semantics": ["dfquad", "bogus"]}, {"target": "nope"},
+                                    {"cells": [["random", "constrained"]]}])
+def test_experiment_refuses_bad_input_before_it_runs_or_writes(tmp_path, capsys, monkeypatch, change):
+    """--jobs 0 used to exit 2 after making an empty --out directory, and
+    QBAG_SX_JOBS=0 meant one job."""
+    runs = []
+    monkeypatch.setattr(q.metrics, "run_graph", lambda *args: runs.append(args))
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps({**EXPERIMENT, **change}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(path), "--out", str(out), "--jobs", "1")
+    assert code == 2 and err.startswith("error:")
+    path.write_text(json.dumps(EXPERIMENT))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(path), "--out", str(out), "--jobs", "0")
+    assert code == 2 and err.startswith("error: jobs must be >= 1")
+    monkeypatch.setenv("QBAG_SX_JOBS", "0")
+    code, _, err = run_cli(capsys, "experiment", "--config", str(path), "--out", str(out))
+    assert code == 2 and err.startswith("error: jobs must be >= 1")
+    assert runs == [] and not out.exists()
 
 
 def test_options_take_long_inline_values_or_files(tmp_path, capsys):

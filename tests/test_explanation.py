@@ -1,8 +1,12 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 import qbagx as q
-from qbagx.errors import GraphFormatError, InvalidChangeError, UnknownArgumentError
+from qbagx.errors import DomainError, GraphFormatError, InvalidChangeError, UnknownArgumentError
 from qbagx.explanation import OrderingRule
 
 from helpers import fig_graph, fig_query, random_dag, random_tiny_query, satisfies_reference
@@ -197,3 +201,61 @@ def test_change_json_round_trip():
     assert q.change_from_json(change.to_json()) == change
     ordering = q.ordering_from_tiers([["d", "e"], ["a"]])
     assert q.ordering_from_json(ordering.to_json()) == ordering
+
+
+def test_one_query_compiles_once(monkeypatch):
+    """A search, its verification, a certification and an oracle call on
+    one query object share one plan and one ordering rule."""
+    built = {"plan": 0, "rule": 0}
+    plan_init, rule_init = q.semantics.GraphPlan.__init__, OrderingRule.__init__
+
+    def counting(kind, init):
+        def wrapper(self, *args):
+            built[kind] += 1
+            init(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(q.semantics.GraphPlan, "__init__", counting("plan", plan_init))
+    monkeypatch.setattr(OrderingRule, "__init__", counting("rule", rule_init))
+    query = fig_query()
+    grid = q.GridSpec(step=0.25, lower=0.0, upper=4.0)
+    outcome = q.heuristic_search(query)
+    assert outcome.found and q.is_explanation(query, outcome.change, mode="weak")
+    assert q.certify_epsilon(query, outcome.change, 0.5, grid) in ("yes", "no", "unknown")
+    assert q.brute_force_search(query, grid).best is not None
+    assert built == {"plan": 1, "rule": 1}
+
+
+def test_the_compiled_query_is_no_part_of_its_value():
+    query = fig_query()
+    plan, rule, rows = query.compiled
+    assert query.compiled[0] is plan and [plan.ids[i] for i in rows] == sorted(query.mutable)
+    assert query == fig_query() and repr(query) == repr(fig_query()) and "compiled" not in repr(query)
+    for other in (pickle.loads(pickle.dumps(query)), copy.copy(query), copy.deepcopy(query)):
+        assert other == query and "compiled" not in vars(other)
+        assert other.compiled[0] is not plan and other.compiled[0].tau.tolist() == plan.tau.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        plan.tau[0] = 0.0
+
+
+def test_a_query_is_checked_when_it_compiles():
+    """is_explanation checks the graph's base scores as the search and the
+    oracle do, even one the change overwrites. The oracle's cap on the
+    mutable set comes before that check, and certify_epsilon's epsilon
+    check before both."""
+    g = q.make_qbag({"a": 1.5, "b": 0.2, "c": 0.3, "d": 0.4, "t": 0.4}, supports=[("a", "t")])
+    query = q.ExplanationQuery(g, q.DFQUAD, frozenset({"a"}), q.ordering_from_spec("t>b"))
+    change = q.StrengthChange({"a": 0.5})
+    with pytest.raises(DomainError):
+        q.is_explanation(query, change)
+    with pytest.raises(DomainError):
+        q.heuristic_search(query)
+    with pytest.raises(DomainError):
+        q.brute_force_search(query)
+    with pytest.raises(ValueError, match="epsilon"):
+        q.certify_epsilon(query, change, -1.0)
+    with pytest.raises(DomainError):
+        q.certify_epsilon(query, change, 0.0)
+    wide = dataclasses.replace(query, mutable=frozenset(g.arguments))
+    with pytest.raises(q.BudgetError):
+        q.brute_force_search(wide, q.GridSpec(max_mutable=4))

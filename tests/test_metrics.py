@@ -223,3 +223,22 @@ def test_bs_diff_per_argument_flag():
     records2 = q.run_experiment(cfg2)
     # with mode=all the denominators coincide, so values match
     assert records[0].abs_bs_diff == pytest.approx(records2[0].abs_bs_diff)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(semantics=("dfquad", "bogus")), "unknown semantics token"),
+    (dict(semantics=(["dfquad"],)), "unknown semantics token"),
+    (dict(cells=(("random", "constrained"),)), "only exists for constrained"),
+    (dict(cells=(("random", "everything"),)), "unknown mutable mode"),
+    (dict(cells=(("bogus", "all"),)), "unknown family"),
+    (dict(cells=(("constrained", "all"),)), "at least 4 layers"),
+    (dict(target="nope"), "unknown target mode"),
+])
+def test_experiment_config_is_checked_before_any_run(monkeypatch, overrides, message):
+    """A bad semantics token after a good one used to fail only once every
+    graph of the good one had been searched."""
+    runs = []
+    monkeypatch.setattr(q.metrics, "run_graph", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=message):
+        q.run_experiment(small_config(n_graphs=20, **overrides))
+    assert runs == []

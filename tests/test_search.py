@@ -306,9 +306,9 @@ def test_search_reuses_one_workspace(monkeypatch):
         widths.append(tau.shape[1])
         return evaluate(plan, spec, tau, *args, **kwargs)
 
-    def recording_pass(plan, spec, tau, src, out, buffers):
-        passes.append((tau, src, out, buffers))
-        return level_pass(plan, spec, tau, src, out, buffers)
+    def recording_pass(plan, spec, tau, out, buffers):
+        passes.append((tau, out, buffers))
+        return level_pass(plan, spec, tau, out, buffers)
 
     monkeypatch.setattr(qbagx.explanation, "evaluate_matrix", recording_evaluate)
     monkeypatch.setattr(qbagx.search, "level_pass", recording_pass)
@@ -322,8 +322,8 @@ def test_search_reuses_one_workspace(monkeypatch):
         outcome = q.heuristic_search(query, q.SearchConfig(max_iterations=20, restarts=2))
         assert outcome.found == found and outcome.iterations_used > 1
         assert len(passes) == outcome.iterations_used
-        batch, sigma, _, buffers = passes[0]
+        batch, sigma, buffers = passes[0]
         assert batch.shape == (len(query.graph.arguments), len(query.mutable) + 1)
         assert sigma is buffers.sigma and buffers.width == batch.shape[1]
-        assert all(t is batch and src is sigma and out is sigma and b is buffers for t, src, out, b in passes)
+        assert all(t is batch and out is sigma and b is buffers for t, out, b in passes)
         assert widths and set(widths) == {1}

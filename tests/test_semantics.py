@@ -769,7 +769,7 @@ def test_level_pass_matches_the_allocating_reference_bit_for_bit():
                 wide = PassBuffers(plan, width + 3)
                 for buffers in (PassBuffers(plan, width), wide.narrowed(width), None):
                     sigma = np.empty_like(tau) if buffers is None else buffers.sigma
-                    got = level_pass(plan, spec, tau, sigma, sigma, buffers)
+                    got = level_pass(plan, spec, tau, sigma, buffers)
                     _assert_same_bits(got, want, (g.arguments, spec, width))
                     passes += 1
     assert passes >= 1200

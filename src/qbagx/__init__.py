@@ -53,6 +53,7 @@ from .graph import (
 from .metrics import (
     ExperimentConfig,
     ExperimentRecord,
+    experiment_config_from_json,
     kendall_tau,
     run_experiment,
     spearman_rho,
@@ -62,6 +63,7 @@ from .reductions import (
     CounterfactualProblem,
     InverseProblem,
     assign_uniform,
+    inverse_problem_from_json,
     make_inverse_problem,
     reduce_counterfactual,
     solve_counterfactual,
@@ -75,6 +77,7 @@ from .search import (
     finite_diff_gradient,
     heuristic_search,
     relu_cost,
+    search_config_from_json,
 )
 from .semantics import (
     ALL_REALS,
@@ -92,6 +95,7 @@ from .semantics import (
     final_strengths,
     influence_value,
     semantics_from_config,
+    semantics_from_json,
 )
 
 __version__ = "0.1.0"

@@ -14,48 +14,37 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import GraphFormatError, QbagError
-from .explanation import (
-    ExplanationQuery,
-    change_from_json,
-    ordering_from_doc,
-    ordering_from_json,
-    ordering_from_spec,
-)
+from .errors import QbagError
+from .explanation import ExplanationQuery, change_from_json, ordering_from_json, ordering_from_spec
 from .generators import GenSpec, generate_batch, structure
-from .graph import _parse_edges, parse_qbag, serialize_qbag
-from .metrics import ExperimentConfig, run_experiment
+from .graph import parse_qbag, serialize_qbag
+from .metrics import experiment_config_from_json, run_experiment
 from .oracle import GridSpec, brute_force_search, certify_epsilon
-from .reductions import (
-    CounterfactualProblem,
-    make_inverse_problem,
-    solve_counterfactual,
-    solve_inverse,
-)
+from .reductions import CounterfactualProblem, inverse_problem_from_json, solve_counterfactual, solve_inverse
 from .search import SearchConfig, heuristic_search, search_config_from_json
-from .semantics import builtin_semantics, final_strengths, semantics_from_config
+from .semantics import builtin_semantics, final_strengths, semantics_from_json
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
 
 
-def _inline_or_file(value: str) -> tuple[str, bool]:
-    """(text, is_json): a value that starts with "{" is inline JSON, one that
-    ends in ".json" or names an existing file is a JSON file, and any other
-    is inline text (a semantics token, an ordering spec)."""
+def _inline_or_file(value: str) -> tuple[str | bytes, bool]:
+    """(data, is_json): a value that starts with "{" is inline JSON, one that
+    ends in ".json" or names an existing file is a JSON file, read as bytes,
+    and any other is inline text (a semantics token, an ordering spec)."""
     if value.lstrip().startswith("{"):
         return value, True
     try:
         named = value.endswith(".json") or Path(value).is_file()
     except OSError:  # e.g. a value longer than a file name may be
         named = False
-    return (Path(value).read_text(), True) if named else (value, False)
+    return (Path(value).read_bytes(), True) if named else (value, False)
 
 
 def _load_semantics(value: str):
     text, is_json = _inline_or_file(value)
-    return semantics_from_config(json.loads(text)) if is_json else builtin_semantics(text)
+    return semantics_from_json(text) if is_json else builtin_semantics(text)
 
 
 def _load_graph(path: str):
@@ -65,6 +54,13 @@ def _load_graph(path: str):
 def _load_ordering(value: str):
     text, is_json = _inline_or_file(value)
     return ordering_from_json(text) if is_json else ordering_from_spec(text)
+
+
+def _load_query(args) -> ExplanationQuery:
+    """The query of --graph, --semantics, --ordering and --mutable."""
+    mutable = frozenset(x.strip() for x in args.mutable.split(",") if x.strip())
+    return ExplanationQuery(_load_graph(args.graph), _load_semantics(args.semantics), mutable,
+                            _load_ordering(args.ordering))
 
 
 def _load_search_config(value: str | None) -> SearchConfig:
@@ -92,12 +88,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    g = _load_graph(args.graph)
-    spec = _load_semantics(args.semantics)
-    ordering = _load_ordering(args.ordering)
-    mutable = frozenset(x.strip() for x in args.mutable.split(",") if x.strip())
+    query = _load_query(args)
     cfg = _load_search_config(args.search_config)
-    query = ExplanationQuery(g, spec, mutable, ordering)
     outcome = heuristic_search(query, cfg)
     sys.stdout.write(outcome.to_json() + "\n")
     if args.trajectory and outcome.trajectory is not None:
@@ -131,12 +123,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _load_graph(args.graph)
-    spec = _load_semantics(args.semantics)
-    ordering = _load_ordering(args.ordering)
-    mutable = frozenset(x.strip() for x in args.mutable.split(",") if x.strip())
+    query = _load_query(args)
     grid = GridSpec(step=args.grid_step, lower=args.lower, upper=args.upper, max_mutable=args.max_mutable)
-    query = ExplanationQuery(g, spec, mutable, ordering)
     if args.certify is not None:
         change = change_from_json(Path(args.certify).read_bytes())
         verdict = certify_epsilon(query, change, args.epsilon, grid, args.mode)
@@ -154,30 +142,8 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if result.best is not None else EXIT_NOT_FOUND
 
 
-def _list_of(value, kind: type, size: int | None = None) -> bool:
-    """True iff value is a JSON list of `kind` values (a bool is no int),
-    with `size` entries when a size is given."""
-    return type(value) is list and size in (None, len(value)) and all(type(v) is kind for v in value)
-
-
-_PROBLEM_KEYS = {"arguments", "attacks", "supports", "ordering"}
-
-
 def _cmd_inverse(args) -> int:
-    """The problem document follows the graph document's rules: unknown keys
-    are rejected, and its edges and ordering go through the graph's and the
-    ordering document's checks."""
-    doc = json.loads(Path(args.problem).read_bytes())
-    if type(doc) is not dict or not {"arguments", "ordering"} <= doc.keys():
-        raise GraphFormatError('problem document must be an object with "arguments" and "ordering"')
-    unknown = doc.keys() - _PROBLEM_KEYS
-    if unknown:
-        raise GraphFormatError(f"unknown keys in problem document: {sorted(unknown)}")
-    if not _list_of(doc["arguments"], str):
-        raise GraphFormatError('problem "arguments" must be a list of argument ids')
-    attacks, supports = (_parse_edges(doc.get(key, []), key) for key in ("attacks", "supports"))
-    ordering = ordering_from_doc(doc["ordering"])
-    problem = make_inverse_problem(doc["arguments"], attacks, supports, ordering.tiers)
+    problem = inverse_problem_from_json(Path(args.problem).read_bytes())
     spec = _load_semantics(args.semantics)
     cfg = _load_search_config(args.search_config) if args.search_config else None
     solution = solve_inverse(problem, spec, cfg)
@@ -202,31 +168,7 @@ def _cmd_counterfactual(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    doc = json.loads(Path(args.config).read_bytes())
-    if type(doc) is not dict:
-        raise ValueError("experiment config must be a JSON object")
-    structures, cells = doc.get("structures"), doc.get("cells")
-    semantics, n_graphs, seed = doc.get("semantics", ["dfquad"]), doc.get("n_graphs", 100), doc.get("seed", 0)
-    if not _list_of(structures, list):  # LayerStructure checks the sizes
-        raise ValueError('experiment "structures" must be a list of layer-size lists')
-    if not (_list_of(cells, list) and all(_list_of(c, str, 2) for c in cells)):
-        raise ValueError('experiment "cells" must be a list of [family, mutable mode] pairs')
-    if not _list_of(semantics, str):
-        raise ValueError('experiment "semantics" must be a list of semantics tokens')
-    try:
-        search = SearchConfig(**doc.get("search", {}))
-    except TypeError as exc:
-        raise ValueError(f"bad search config: {exc}") from exc
-    cfg = ExperimentConfig(
-        structures=tuple(structure(s) for s in structures),
-        cells=tuple(map(tuple, cells)),
-        semantics=tuple(semantics),
-        n_graphs=n_graphs,
-        seed=seed,
-        search=search,
-        target=doc.get("target", "permuted"),
-        bs_diff_per=doc.get("bs_diff_per", "mutable"),
-    )
+    cfg = experiment_config_from_json(Path(args.config).read_bytes())
     out = Path(args.out)  # made by run_experiment once its runs are done
     summary = out / "summary.csv"
     per_graph = out / "per_graph.csv"
@@ -325,7 +267,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (QbagError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (QbagError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

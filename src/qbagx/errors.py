@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the one number rule that
-every real and integer entering it goes through."""
+"""Exception types shared across the package, the one number rule that
+every real and integer entering it goes through, and the one document rule
+that every JSON document it reads goes through."""
 
+import json
 import numbers
 import sys
+from collections.abc import Mapping
 
 
 class QbagError(Exception):
@@ -58,3 +61,37 @@ def checked_int(value, what: str, least: int | None = None, error: type[Exceptio
     if least is not None and value < least:
         raise error(f"{what} must be >= {least}, got {value!r}")
     return int(value)
+
+
+def _no_constant(name: str):
+    """json.loads parse_constant hook: NaN, Infinity and -Infinity are no JSON."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def json_document(data: str | bytes, what: str, error: type[Exception] = ValueError):
+    """The JSON value in `data`, text or UTF-8 bytes, or `error` naming
+    `what` for bytes that are not UTF-8, text that is not JSON, the literals
+    NaN, Infinity and -Infinity, and nesting deeper than the decoder's
+    recursion limit. A number too large for a float decodes to an infinity,
+    which checked_real refuses."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data, parse_constant=_no_constant)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise error(f"invalid JSON in {what}: {exc}") from exc
+
+
+def checked_object(doc, what: str, keys, error: type[Exception] = ValueError) -> Mapping:
+    """`doc`, or `error` naming `what` if it is not an object or has a key
+    outside `keys`."""
+    if not isinstance(doc, Mapping):
+        raise error(f"{what} must be a JSON object")
+    unknown = doc.keys() - keys
+    if unknown:
+        raise error(f"unknown keys in {what}: {sorted(unknown)}")
+    return doc
+
+
+def json_object(data: str | bytes, what: str, keys, error: type[Exception] = ValueError) -> dict:
+    """The JSON object in `data`, under json_document's and checked_object's
+    rules."""
+    return checked_object(json_document(data, what, error), what, keys, error)

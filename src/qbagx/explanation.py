@@ -34,8 +34,11 @@ from .errors import (
     InvalidChangeError,
     UndefinedStrengthError,
     UnknownArgumentError,
+    checked_object,
+    json_document,
+    json_object,
 )
-from .graph import QBAG, _checked_scores, reject_constant
+from .graph import QBAG, _checked_scores
 from .semantics import GraphPlan, SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix, final_strengths
 
 
@@ -76,16 +79,12 @@ def ordering_from_tiers(tiers) -> DesiredOrdering:
 
 
 def ordering_from_json(data: str | bytes) -> DesiredOrdering:
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid ordering JSON: {exc}") from exc
-    return ordering_from_doc(doc)
+    return ordering_from_doc(json_document(data, "ordering document", GraphFormatError))
 
 
 def ordering_from_doc(doc: object) -> DesiredOrdering:
-    """The ordering of a parsed {"tiers": [[id, ...], ...]} document."""
-    tiers = doc["tiers"] if isinstance(doc, dict) and set(doc) == {"tiers"} else None
+    """The ordering of a decoded {"tiers": [[id, ...], ...]} document."""
+    tiers = checked_object(doc, "ordering document", {"tiers"}, GraphFormatError).get("tiers")
     if not (type(tiers) is list and all(type(t) is list and all(type(x) is str and x for x in t) for t in tiers)):
         raise GraphFormatError('ordering document must be {"tiers": [[id, ...], ...]} with non-empty string ids')
     return ordering_from_tiers(tiers)
@@ -134,14 +133,11 @@ EMPTY_CHANGE = StrengthChange({})
 
 
 def change_from_json(data: str | bytes) -> StrengthChange:
-    try:
-        doc = json.loads(data, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid strength change JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"changes"} or not isinstance(doc["changes"], dict):
+    changes = json_object(data, "strength change document", {"changes"}, GraphFormatError).get("changes")
+    if not isinstance(changes, dict):
         raise GraphFormatError('strength change document must be {"changes": {...}}')
     # as base scores: non-empty string ids, finite real values (a bool or a string is neither)
-    return StrengthChange(_checked_scores(doc["changes"]))
+    return StrengthChange(_checked_scores(changes))
 
 
 @dataclass(frozen=True)

@@ -60,12 +60,22 @@ class GenSpec:
     # permuted targets the fresh graph already satisfies
 
     def __post_init__(self):
-        if self.family not in ("random", "constrained"):
-            raise ValueError(f"unknown family: {self.family!r}")
-        if self.family == "constrained" and len(self.structure.sizes) < 4:
-            raise ValueError("constrained graphs need at least 4 layers")
-        if self.target not in ("permuted", "literal"):
-            raise ValueError(f"unknown target mode: {self.target!r}")
+        check_family(self.family, (self.structure,))
+        check_target(self.target)
+
+
+def check_family(family: str, structures) -> None:
+    """Reject an unknown family, and a layer structure too shallow for it."""
+    if family not in ("random", "constrained"):
+        raise ValueError(f"unknown family: {family!r}")
+    if family == "constrained" and any(len(s.sizes) < 4 for s in structures):
+        raise ValueError("constrained graphs need at least 4 layers")
+
+
+def check_target(target: str) -> None:
+    """Reject a target mode other than "permuted" and "literal"."""
+    if target not in ("permuted", "literal"):
+        raise ValueError(f"unknown target mode: {target!r}")
 
 
 @dataclass(frozen=True)

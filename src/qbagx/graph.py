@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import GraphFormatError, QbagError, UnknownArgumentError, checked_real
+from .errors import GraphFormatError, QbagError, UnknownArgumentError, checked_real, json_object
 
 Edge = tuple[str, str]
 
@@ -418,33 +418,17 @@ def _parse_edges(raw: object, label: str) -> frozenset[Edge]:
     return frozenset(map(tuple, raw))
 
 
-def reject_constant(name: str):
-    """json.loads parse_constant hook: the literals NaN, Infinity and
-    -Infinity are not valid scores."""
-    raise GraphFormatError(f"non-finite number {name} in JSON document")
-
-
 def parse_qbag(data: bytes | str) -> QBAG:
     """Parse the JSON graph document.
 
     Schema: {"arguments": [{"id": ..., "base_score": ...}, ...],
     "attacks": [[from, to], ...], "supports": [[from, to], ...]}.
-    Unknown keys are rejected; attacks/supports may be omitted. The graph
-    builds its topology here, which rejects an edge with an endpoint outside
-    the argument set or in both relations.
+    It follows the document rule (errors.json_object); attacks/supports may
+    be omitted. The graph builds its topology here, which rejects an edge
+    with an endpoint outside the argument set or in both relations.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GraphFormatError("graph document must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise GraphFormatError(f"unknown keys in graph document: {sorted(unknown)}")
-    if "arguments" not in doc or not isinstance(doc["arguments"], list):
+    doc = json_object(data, "graph document", _TOP_KEYS, GraphFormatError)
+    if not isinstance(doc.get("arguments"), list):
         raise GraphFormatError('graph document needs an "arguments" list')
 
     scores: dict[str, float] = {}

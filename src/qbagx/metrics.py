@@ -15,17 +15,17 @@ import math
 import time
 import zlib
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import checked_int
+from .errors import checked_int, json_object
 from .explanation import DesiredOrdering, ExplanationQuery, amount_of_change
-from .generators import GenSpec, LayerStructure, check_mutable_mode, generate_batch, mutable_preset
-from .search import SearchConfig, heuristic_search
+from .generators import GenSpec, LayerStructure, check_family, check_mutable_mode, check_target, generate_batch, mutable_preset, structure
+from .search import SearchConfig, heuristic_search, search_config_from_doc
 from .semantics import builtin_semantics, final_strengths
 
 
@@ -70,9 +70,16 @@ def spearman_rho(ordering: DesiredOrdering, strengths: Mapping[str, float]) -> f
     return float(np.corrcoef(*ranks)[1, 0])
 
 
+def _tuple(value, what: str) -> tuple:
+    """`value`, a list or a tuple, as a tuple, or ValueError naming `what`."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    structures: tuple[LayerStructure, ...]
+    structures: tuple[LayerStructure, ...]  # or lists of layer sizes
     cells: tuple[tuple[str, str], ...]  # (family, mutable mode)
     semantics: tuple[str, ...] = ("dfquad",)
     n_graphs: int = 100
@@ -82,17 +89,39 @@ class ExperimentConfig:
     bs_diff_per: str = "mutable"  # or "all": divide the change by |arguments|
 
     def __post_init__(self):
-        object.__setattr__(self, "n_graphs", checked_int(self.n_graphs, "n_graphs", least=1))
-        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
+        # every run's inputs are checked here, before the first search
+        structures = tuple(s if isinstance(s, LayerStructure) else structure(_tuple(s, "a layer structure"))
+                           for s in _tuple(self.structures, "structures"))
+        cells = tuple(_tuple(c, "a cell") for c in _tuple(self.cells, "cells"))
+        if any(len(c) != 2 for c in cells):
+            raise ValueError("a cell must be a (family, mutable mode) pair")
+        for name, value in (("structures", structures), ("cells", cells),
+                            ("semantics", _tuple(self.semantics, "semantics")),
+                            ("n_graphs", checked_int(self.n_graphs, "n_graphs", least=1)),
+                            ("seed", checked_int(self.seed, "seed"))):
+            object.__setattr__(self, name, value)
+        if not isinstance(self.search, SearchConfig):
+            raise ValueError(f"search must be a SearchConfig, got {self.search!r}")
         if self.bs_diff_per not in ("mutable", "all"):
             raise ValueError("bs_diff_per must be 'mutable' or 'all'")
-        # every run's inputs are checked here, before the first search
+        check_target(self.target)
         for token in self.semantics:
             builtin_semantics(token)
-        for struct in self.structures:
-            for family, mode in self.cells:
-                GenSpec(struct, family, self.seed, self.target)
-                check_mutable_mode(family, mode)
+        for family, mode in cells:
+            check_family(family, structures)
+            check_mutable_mode(family, mode)
+
+
+def experiment_config_from_json(data: str | bytes) -> ExperimentConfig:
+    """The config of a JSON experiment document: ExperimentConfig's fields
+    as keys, "structures" and "cells" required, "search" a search config
+    object."""
+    doc = json_object(data, "experiment config", {f.name for f in fields(ExperimentConfig)})
+    if not {"structures", "cells"} <= doc.keys():
+        raise ValueError('experiment config needs "structures" and "cells"')
+    if "search" in doc:
+        doc["search"] = search_config_from_doc(doc["search"])
+    return ExperimentConfig(**doc)
 
 
 @dataclass(frozen=True)
@@ -244,45 +273,18 @@ def run_experiment(
         if path is not None:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
     if summary_path is not None:
-        write_summary_csv(records, summary_path)
+        write_csv(summary_path, ExperimentRecord, records)
     if per_graph_path is not None:
-        write_per_graph_csv(sorted(results, key=lambda r: (r.structure, r.family, r.mode, r.semantics, r.graph_index)), per_graph_path)
+        write_csv(per_graph_path, GraphRunRecord,
+                  sorted(results, key=lambda r: (r.structure, r.family, r.mode, r.semantics, r.graph_index)))
     return records
 
 
-SUMMARY_COLUMNS = ["structure", "family", "mode", "semantics", "validity", "kendall", "spearman", "runtime_s", "abs_bs_diff"]
-
-
-def write_summary_csv(records: Iterable[ExperimentRecord], path) -> None:
+def write_csv(path, kind: type, records: Iterable) -> None:
+    """Write records of the dataclass `kind`, one column per field in field
+    order: a bool as 0/1, None as NA, a float as its repr."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerow(f.name for f in fields(kind))
         for r in records:
-            writer.writerow(
-                [
-                    r.structure,
-                    r.family,
-                    r.mode,
-                    r.semantics,
-                    repr(r.validity),
-                    repr(r.kendall),
-                    repr(r.spearman),
-                    repr(r.runtime_s),
-                    "NA" if r.abs_bs_diff is None else repr(r.abs_bs_diff),
-                ]
-            )
-
-
-def write_per_graph_csv(runs: Iterable[GraphRunRecord], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["structure", "family", "mode", "semantics", "graph_index", "seed", "found",
-             "kendall", "spearman", "runtime_s", "iterations", "final_cost", "bs_diff"]
-        )
-        for r in runs:
-            writer.writerow(
-                [r.structure, r.family, r.mode, r.semantics, r.graph_index, r.seed,
-                 int(r.found), repr(r.kendall), repr(r.spearman), repr(r.runtime_s),
-                 r.iterations, repr(r.final_cost), "NA" if r.bs_diff is None else repr(r.bs_diff)]
-            )
+            writer.writerow("NA" if v is None else int(v) if isinstance(v, bool) else v for v in astuple(r))

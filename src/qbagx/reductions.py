@@ -26,14 +26,14 @@ Jacobian steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
 
-from .errors import GraphFormatError, UndefinedStrengthError, UnknownArgumentError, checked_real
-from .explanation import DesiredOrdering, ExplanationQuery, ordering_from_tiers
-from .graph import QBAG, Edge, check_edges, make_qbag
+from .errors import GraphFormatError, UndefinedStrengthError, UnknownArgumentError, checked_real, json_object
+from .explanation import DesiredOrdering, ExplanationQuery, ordering_from_doc, ordering_from_tiers
+from .graph import QBAG, Edge, _parse_edges, check_edges, make_qbag
 from .search import SearchConfig, SearchOutcome, _adam_search, _Workspace
 from .semantics import SemanticsSpec, final_strengths
 
@@ -49,6 +49,18 @@ class InverseProblem:
         check_edges(set(self.arguments), self.attacks, self.supports)
         if self.ordering.topic_set != frozenset(self.arguments):
             raise GraphFormatError("the desired ordering must cover exactly the argument set")
+
+
+def inverse_problem_from_json(data: str | bytes) -> InverseProblem:
+    """The problem of a JSON {"arguments", "attacks", "supports", "ordering"}
+    document: its edges and ordering follow the graph's and the ordering
+    document's rules, and attacks and supports may be omitted."""
+    doc = json_object(data, "problem document", {f.name for f in fields(InverseProblem)}, GraphFormatError)
+    arguments = doc.get("arguments")
+    if not (type(arguments) is list and all(type(a) is str for a in arguments)):
+        raise GraphFormatError('problem document needs an "arguments" list of argument ids')
+    attacks, supports = (_parse_edges(doc.get(key, []), key) for key in ("attacks", "supports"))
+    return make_inverse_problem(arguments, attacks, supports, ordering_from_doc(doc.get("ordering")).tiers)
 
 
 def make_inverse_problem(arguments: Iterable[str], attacks, supports, tiers) -> InverseProblem:

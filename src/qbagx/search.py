@@ -22,12 +22,12 @@ adam_step on the restart's AdamState.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
-from .errors import UndefinedStrengthError, checked_int, checked_real
+from .errors import UndefinedStrengthError, checked_int, checked_object, checked_real, json_document
 from .explanation import DesiredOrdering, ExplanationQuery, StrengthChange
 from .semantics import PassBuffers, SemanticsSpec, level_pass
 
@@ -74,13 +74,13 @@ class SearchConfig:
 
 
 def search_config_from_json(data: str | bytes) -> SearchConfig:
-    doc = json.loads(data)
-    if not isinstance(doc, dict):
-        raise ValueError("search config must be a JSON object")
-    try:
-        return SearchConfig(**doc)
-    except TypeError as exc:
-        raise ValueError(f"bad search config: {exc}") from exc
+    return search_config_from_doc(json_document(data, "search config"))
+
+
+def search_config_from_doc(doc: object) -> SearchConfig:
+    """The config of a decoded search config object: SearchConfig's fields
+    as keys, each optional."""
+    return SearchConfig(**checked_object(doc, "search config", {f.name for f in fields(SearchConfig)}))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import CyclicGraphError, DomainError, checked_int, checked_real
+from .errors import CyclicGraphError, DomainError, checked_int, checked_object, checked_real, json_document
 from .graph import QBAG, parents_map, reachable_from, restrict, topological_levels
 
 # Absolute tolerance for float comparisons in principle checks.
@@ -160,21 +160,19 @@ def builtin_semantics(token: str) -> SemanticsSpec:
         raise ValueError(f"unknown semantics token: {token!r} (expected one of {sorted(_BUILTINS)})")
 
 
+def semantics_from_json(data: str | bytes) -> SemanticsSpec:
+    return semantics_from_config(json_document(data, "semantics config"))
+
+
 def semantics_from_config(config: str | Mapping) -> SemanticsSpec:
     """Build a semantics from a token or a custom {"aggregation", "influence"}
     object (linear, euler_based or p_max); the constructors check its values."""
     if isinstance(config, str):
         return builtin_semantics(config)
-    if not isinstance(config, Mapping):
-        raise ValueError(f"a semantics config is a token or an object, got {config!r}")
-    unknown = set(config) - {"aggregation", "influence"}
-    if unknown:
-        raise ValueError(f"unknown keys in semantics config: {sorted(unknown)}")
-    inf = config.get("influence")
-    if not isinstance(inf, Mapping) or "kind" not in inf:
+    checked_object(config, "semantics config", {"aggregation", "influence"})
+    inf = checked_object(config.get("influence"), "influence config", {"kind", "k", "p"})
+    if "kind" not in inf:
         raise ValueError('custom semantics need an influence object with a "kind"')
-    if set(inf) - {"kind", "k", "p"}:
-        raise ValueError(f"unknown keys in influence config: {sorted(set(inf) - {'kind', 'k', 'p'})}")
     if inf["kind"] == "additive":
         raise ValueError('a custom influence is linear, euler_based or p_max; additive is the token "naive"')
     return SemanticsSpec(config.get("aggregation"), Influence(**inf))

@@ -1,4 +1,4 @@
-"""The one number rule at the boundary.
+"""The one number rule and the one document rule at the boundary.
 
 Every real that enters qbagx goes through errors.checked_real (a
 numbers.Real, not a bool, that fits a float) and every integer through
@@ -6,6 +6,11 @@ errors.checked_int (a numbers.Integral, not a bool, not below its least
 value). The table names each field or argument that takes a number, the
 error class it raises, and runs it against values it must refuse. 10**400
 is an integer, so it is refused only where a real is wanted.
+
+Every JSON document goes through errors.json_document (UTF-8, valid JSON,
+no NaN or infinity literals) and errors.checked_object (an object with no
+unknown key). The document table runs every reader against documents that
+break each part of the rule.
 """
 
 import math
@@ -118,3 +123,56 @@ def test_a_query_checks_its_fields(field, value):
     fields = dict(graph=GRAPH, semantics=q.DFQUAD, mutable=frozenset({"a"}), ordering=QUERY.ordering)
     with pytest.raises(ValueError, match=f"query {field} must be"):
         q.ExplanationQuery(**{**fields, field: value})
+
+
+# document: (reader, the error class it raises, a key it knows)
+READERS = {
+    "graph": (q.parse_qbag, GraphFormatError, "arguments"),
+    "ordering": (q.ordering_from_json, GraphFormatError, "tiers"),
+    "strength change": (q.change_from_json, GraphFormatError, "changes"),
+    "search config": (q.search_config_from_json, ValueError, "alpha"),
+    "semantics config": (q.semantics_from_json, ValueError, "aggregation"),
+    "experiment config": (q.experiment_config_from_json, ValueError, "seed"),
+    "inverse problem": (q.inverse_problem_from_json, GraphFormatError, "arguments"),
+}
+
+# case: (document given a known key, message)
+BAD_DOCUMENTS = {
+    "invalid JSON": (lambda key: "not json", "invalid JSON in"),
+    "not UTF-8": (lambda key: b"\xff", "invalid JSON in .*utf-8"),
+    "NaN literal": (lambda key: '{"%s": NaN}' % key, "invalid JSON in .*NaN"),
+    "Infinity literal": (lambda key: '{"%s": -Infinity}' % key, "invalid JSON in .*-Infinity"),
+    "non-object": (lambda key: '[{"%s": 1}]' % key, "must be a JSON object"),
+    "unknown key": (lambda key: '{"%s": 1, "bogus": 1}' % key, r"unknown keys in .*\['bogus'\]"),
+    "deep nesting": (lambda key: '{"%s": %s}' % (key, "[" * 5000 + "]" * 5000), "invalid JSON in .*recursion"),
+}
+
+
+@pytest.mark.parametrize("reader, error, key", READERS.values(), ids=READERS)
+@pytest.mark.parametrize("document, message", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS)
+def test_every_document_follows_the_document_rule(reader, error, key, document, message):
+    """b"\\xff" used to raise UnicodeDecodeError from every library reader,
+    search_config_from_json("not json") a bare JSONDecodeError, and deep
+    nesting a RecursionError (qbagx exited 1 with a traceback)."""
+    with pytest.raises(error, match=message) as exc:
+        reader(document(key))
+    assert type(exc.value) is error
+
+
+def test_an_experiment_config_with_an_unknown_key_runs_nothing(tmp_path, capsys, monkeypatch):
+    """Misspelled keys used to be ignored: this config ran 100 DF-QuAD graphs."""
+    runs = []
+    monkeypatch.setattr(q.metrics, "run_graph", lambda *args: runs.append(args))
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    config.write_text('{"structures": [[2, 3]], "cells": [["random", "all"]], "n_graph": 1, "semantic": ["eb"]}')
+    code = main(["experiment", "--config", str(config), "--out", str(out), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: unknown keys in experiment config: ['n_graph', 'semantic']")
+    assert runs == [] and not out.exists()
+
+
+def test_only_errors_py_decodes_json():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            assert not re.search(r"\bloads\b|\bJSONDecoder\b", path.read_text()), path.name

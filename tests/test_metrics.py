@@ -233,10 +233,15 @@ def test_bs_diff_per_argument_flag():
     (dict(cells=(("bogus", "all"),)), "unknown family"),
     (dict(cells=(("constrained", "all"),)), "at least 4 layers"),
     (dict(target="nope"), "unknown target mode"),
+    # with no structures there is no run, and the config is still checked
+    (dict(structures=(), target="nope"), "unknown target mode"),
+    (dict(structures=(), cells=(("bogus", "all"),)), "unknown family"),
+    (dict(structures=(), cells=(("random", "everything"),)), "unknown mutable mode"),
 ])
 def test_experiment_config_is_checked_before_any_run(monkeypatch, overrides, message):
     """A bad semantics token after a good one used to fail only once every
-    graph of the good one had been searched."""
+    graph of the good one had been searched, and with no structures a bad
+    target or family was accepted and the experiment ran nothing."""
     runs = []
     monkeypatch.setattr(q.metrics, "run_graph", lambda *args: runs.append(args))
     with pytest.raises(ValueError, match=message):

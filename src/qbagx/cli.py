@@ -108,10 +108,11 @@ def _cmd_generate(args) -> int:
     sizes = structure(int(s) for s in args.structure.split(","))
     spec = GenSpec(sizes, args.family, args.seed, target=args.target,
                    semantics=builtin_semantics(args.semantics))
+    instances = generate_batch(spec, args.count)  # refuses a bad count before --out is made
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, instance in enumerate(generate_batch(spec, args.count)):
+    for i, instance in enumerate(instances):
         graph_path = out / f"graph_{i:03d}.json"
         sidecar_path = out / f"graph_{i:03d}.sidecar.json"
         graph_path.write_bytes(serialize_qbag(instance.graph))

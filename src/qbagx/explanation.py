@@ -34,23 +34,28 @@ from .errors import (
     InvalidChangeError,
     UndefinedStrengthError,
     UnknownArgumentError,
+    checked_ids,
+    checked_items,
     checked_object,
     json_document,
     json_object,
 )
-from .graph import QBAG, _checked_scores
+from .graph import QBAG, _checked_scores, make_qbag
 from .semantics import GraphPlan, SemanticsSpec, check_scores_in_domain, compile_graph, evaluate_matrix, final_strengths
 
 
 @dataclass(frozen=True)
 class DesiredOrdering:
-    """Tiers of argument ids, weakest tier first."""
+    """Tiers of argument ids (errors.checked_ids), weakest tier first."""
 
     tiers: tuple[frozenset[str], ...]
 
     def __post_init__(self):
+        tiers = tuple(frozenset(checked_ids(tier, "ordering tier", GraphFormatError))
+                      for tier in checked_items(self.tiers, "ordering tiers", "tiers", GraphFormatError))
+        object.__setattr__(self, "tiers", tiers)
         seen: set[str] = set()
-        for tier in self.tiers:
+        for tier in tiers:
             if not tier:
                 raise GraphFormatError("ordering tiers must be non-empty")
             if seen & tier:
@@ -74,8 +79,7 @@ class DesiredOrdering:
         return json.dumps({"tiers": [sorted(t) for t in self.tiers]}, separators=(",", ":"))
 
 
-def ordering_from_tiers(tiers) -> DesiredOrdering:
-    return DesiredOrdering(tuple(frozenset(map(str, tier)) for tier in tiers))
+ordering_from_tiers = DesiredOrdering  # the tiers as given, weakest first
 
 
 def ordering_from_json(data: str | bytes) -> DesiredOrdering:
@@ -83,11 +87,13 @@ def ordering_from_json(data: str | bytes) -> DesiredOrdering:
 
 
 def ordering_from_doc(doc: object) -> DesiredOrdering:
-    """The ordering of a decoded {"tiers": [[id, ...], ...]} document."""
+    """The ordering of a decoded {"tiers": [[id, ...], ...]} document, or
+    GraphFormatError naming the document."""
     tiers = checked_object(doc, "ordering document", {"tiers"}, GraphFormatError).get("tiers")
-    if not (type(tiers) is list and all(type(t) is list and all(type(x) is str and x for x in t) for t in tiers)):
-        raise GraphFormatError('ordering document must be {"tiers": [[id, ...], ...]} with non-empty string ids')
-    return ordering_from_tiers(tiers)
+    try:
+        return DesiredOrdering(tiers)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"ordering document: {exc}") from exc
 
 
 def ordering_from_spec(text: str) -> DesiredOrdering:
@@ -113,7 +119,7 @@ class StrengthChange:
 
     def __post_init__(self):
         # checked as base scores are; the entries are kept as floats, sorted by id
-        object.__setattr__(self, "entries", _checked_scores(self.entries, InvalidChangeError, "entry for"))
+        object.__setattr__(self, "entries", _checked_scores(self.entries, "change", InvalidChangeError))
 
     @property
     def domain(self) -> frozenset[str]:
@@ -134,10 +140,8 @@ EMPTY_CHANGE = StrengthChange({})
 
 def change_from_json(data: str | bytes) -> StrengthChange:
     changes = json_object(data, "strength change document", {"changes"}, GraphFormatError).get("changes")
-    if not isinstance(changes, dict):
-        raise GraphFormatError('strength change document must be {"changes": {...}}')
-    # as base scores: non-empty string ids, finite real values (a bool or a string is neither)
-    return StrengthChange(_checked_scores(changes))
+    # a mapping under the identifier and number rules, as a GraphFormatError
+    return StrengthChange(_checked_scores(changes, "change"))
 
 
 @dataclass(frozen=True)
@@ -153,9 +157,7 @@ class ExplanationQuery:
         for name, kind in (("graph", QBAG), ("semantics", SemanticsSpec), ("ordering", DesiredOrdering)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"query {name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        if isinstance(self.mutable, str):  # a string would mean the set of its characters
-            raise ValueError(f"query mutable must be a collection of argument ids, got {self.mutable!r}")
-        object.__setattr__(self, "mutable", frozenset(self.mutable))
+        object.__setattr__(self, "mutable", frozenset(checked_ids(self.mutable, "query mutable")))
         missing = (self.mutable | self.ordering.topic_set) - set(self.graph.arguments)
         if missing:
             raise UnknownArgumentError(f"query names unknown arguments: {sorted(missing)}")
@@ -296,7 +298,7 @@ def apply_change(g: QBAG, change: StrengthChange, domain=None) -> QBAG:
     validate_change(g, change, domain)
     scores = dict(g.base_scores)
     scores.update(change.entries)
-    return QBAG(g.arguments, {a: scores[a] for a in g.arguments}, g.attacks, g.supports)
+    return make_qbag(scores, g.attacks, g.supports)
 
 
 def amount_of_change(g: QBAG, change: StrengthChange) -> float:

@@ -62,6 +62,7 @@ class GenSpec:
     def __post_init__(self):
         check_family(self.family, (self.structure,))
         check_target(self.target)
+        object.__setattr__(self, "seed", checked_int(self.seed, "generator seed", least=0))
 
 
 def check_family(family: str, structures) -> None:
@@ -200,6 +201,7 @@ def generate(spec: GenSpec) -> GeneratedInstance:
 def generate_batch(spec: GenSpec, count: int) -> list[GeneratedInstance]:
     """Instance i of a batch uses seed spec.seed + i, so any single graph can
     be regenerated in isolation."""
+    count = checked_int(count, "batch count", least=0)
     return [
         _generate(GenSpec(spec.structure, spec.family, spec.seed + i, spec.target, spec.semantics))
         for i in range(count)

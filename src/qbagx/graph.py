@@ -5,9 +5,10 @@ disjoint directed edge relations (attacks and supports). Graphs are
 immutable after construction and every operation is pure; arguments are
 kept sorted by id so iteration order is deterministic.
 
-A graph builds its Topology (index, depths, evaluation blocks) on first use
-and keeps it. Graphs on the same edge-set objects and arguments share one
-through an index of live topologies keyed by the identity of those objects.
+make_qbag makes every graph and builds its Topology (index, depths,
+evaluation blocks), the check of its edges' endpoints; the graph keeps it.
+Graphs on the same edge-set objects and arguments share one through an
+index of live topologies keyed by the identity of those objects.
 A graph on those edge sets whose arguments hold the live topology's ids in
 the same order, plus arguments no edge touches (a counterfactual's reference
 argument), derives its own topology from the live one: no edge check, and
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from collections.abc import Collection, Set as AbstractSet
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
@@ -29,7 +30,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import GraphFormatError, QbagError, UnknownArgumentError, checked_real, json_object
+from .errors import (GraphFormatError, QbagError, UnknownArgumentError, checked_ids, checked_items, checked_object,
+                     checked_real, json_object)
 
 Edge = tuple[str, str]
 
@@ -67,8 +69,8 @@ class QBAG:
 
     @cached_property
     def topology(self) -> Topology:
-        """Built on first use; shared by graphs on the same edge-set objects
-        and arguments, and derived from it for more arguments (Topology.extended)."""
+        """Built by make_qbag or on first use; shared by graphs on the same edge-set
+        objects and arguments, and derived from it for more arguments (Topology.extended)."""
         topology = _shared(self.arguments, self.attacks, self.supports)
         if topology is None:
             topology = Topology(self.arguments, self.attacks, self.supports)
@@ -87,37 +89,35 @@ def make_qbag(
     attacks: Iterable[Edge] = (),
     supports: Iterable[Edge] = (),
 ) -> QBAG:
-    """Validate and build a graph.
+    """Validate and build a graph: the one constructor of QBAG.
 
-    Rejects empty/non-string ids, non-numeric or non-finite scores, edges
-    with unknown endpoints, and any edge present in both relations. The
-    checks run as bulk passes; only when one fails does a per-item loop name
-    the first bad entry. A frozenset of (str, str) tuples is kept as it is,
-    so graphs derived from one another share their edge sets. Edge sets that
-    a live topology was built on are not checked again when its ids appear
-    among the new ones in the same order: its build checked every edge
-    against a subset of them. The graph then shares that topology, or,
+    The ids follow the identifier rule (errors.checked_ids), the scores the
+    number rule (errors.checked_real) and the edges the edge rule (edge_set).
+    The graph then builds its topology, which rejects an edge with an
+    endpoint outside the argument set or in both relations. Edge sets that a
+    live topology was built on skip the edge rule and the build when its ids
+    appear among the new ones in the same order: its build checked every
+    edge against a subset of them. The graph then shares that topology, or,
     with added arguments, derives its own from it (Topology.extended).
     """
     scores = _checked_scores(base_scores)
     ids = tuple(scores)
-    if _shared(ids, attacks, supports) is None:
-        attacks, supports = _edge_set(attacks), _edge_set(supports)
-        check_edges(scores.keys(), attacks, supports)
-    return QBAG(ids, scores, attacks, supports)
+    if _shared(ids, attacks, supports) is not None:
+        return QBAG(ids, scores, attacks, supports)
+    g = QBAG(ids, scores, edge_set(attacks, "attacks"), edge_set(supports, "supports"))
+    g.topology  # built now: the build is the endpoint check
+    return g
 
 
-def _checked_scores(scores: Mapping[str, float], error: type[QbagError] = GraphFormatError,
-                    what: str = "base score of") -> dict[str, float]:
-    """The scores as floats, sorted by id, once the ids are checked to be
-    non-empty strings and the values reals (checked_real). Bulk passes
-    decide; only when one fails does a per-item loop raise `error` for the
-    first bad entry, naming a value as `what` and its id."""
-    if not (set(map(type, scores)) <= {str} and all(scores)):
-        for arg in scores:
-            if not isinstance(arg, str) or not arg:
-                raise error(f"argument id must be a non-empty string, got {arg!r}")
-    ids = sorted(scores)
+def _checked_scores(scores: Mapping[str, float], what: str = "base score",
+                    error: type[QbagError] = GraphFormatError) -> dict[str, float]:
+    """The scores as floats, sorted by id, once they are checked to be a
+    mapping, the ids by the identifier rule and the values by the number
+    rule, each naming `what`. Bulk passes decide; only when one fails does a
+    per-item loop raise `error` for the first bad entry."""
+    if not isinstance(scores, Mapping):
+        raise error(f"{what}s must be a mapping of argument ids to numbers, got {scores!r}")
+    ids = sorted(checked_ids(scores.keys(), f"{what}s", error))
     values = list(map(scores.__getitem__, ids))
     try:  # math.isfinite raises OverflowError on an integer too large for a float
         valid = set(map(type, values)) <= {float, int} and all(map(math.isfinite, values))
@@ -125,36 +125,24 @@ def _checked_scores(scores: Mapping[str, float], error: type[QbagError] = GraphF
         valid = False
     if not valid:
         for arg, value in zip(ids, values):
-            checked_real(value, f"{what} {arg!r}", error)
+            checked_real(value, f"{what} of {arg!r}", error)
     return dict(zip(ids, map(float, values)))
 
 
-def check_edges(known: AbstractSet[str], att: frozenset[Edge], supp: frozenset[Edge]) -> None:
-    """Reject an edge with an endpoint outside `known`, then edges in both relations."""
-    endpoints = set(chain.from_iterable(att))
-    endpoints.update(chain.from_iterable(supp))
-    if not known >= endpoints:
-        for a, b in sorted(att | supp):
-            if a not in known or b not in known:
-                raise GraphFormatError(f"edge ({a!r}, {b!r}) has an endpoint outside the argument set")
-    if not att.isdisjoint(supp):
-        raise GraphFormatError(f"edges in both attack and support relations: {sorted(att & supp)}")
-
-
-def _str_pairs(items: Collection, kind: type) -> bool:
-    """True iff every item is a `kind` of exactly two str: three C-level passes."""
-    return (set(map(type, items)) <= {kind} and set(map(len, items)) <= {2}
-            and set(map(type, chain.from_iterable(items))) <= {str})
-
-
-def _edge_set(edges: Iterable[Edge]) -> frozenset[Edge]:
-    """The edges as a frozenset of (str, str) tuples; one that already is
-    such a frozenset is returned as it is."""
-    if not isinstance(edges, Collection):
-        edges = list(edges)
-    if _str_pairs(edges, tuple):
-        return frozenset(edges)
-    return frozenset((str(a), str(b)) for a, b in edges)
+def edge_set(edges: Iterable[Edge], what: str) -> frozenset[Edge]:
+    """The edges as a frozenset of (str, str) tuples, or GraphFormatError
+    naming `what`: a collection (errors.checked_items) of pairs, each a tuple
+    or list of two str. A frozenset of such tuples is returned as it is, so
+    graphs derived from one another share their edge sets. Bulk passes
+    decide; only when one fails does a loop name the first bad entry."""
+    if type(edges) not in (frozenset, list, tuple):  # those three need no copy to be read twice
+        edges = checked_items(edges, what, "[from, to] pairs", GraphFormatError)
+    if not (set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {str}):
+        for item in edges:
+            if not isinstance(item, (tuple, list)) or len(item) != 2 or not all(isinstance(e, str) for e in item):
+                raise GraphFormatError(f"bad {what} entry: {item!r}")
+    return edges if type(edges) is frozenset else frozenset(map(tuple, edges))
 
 
 def successors_map(g: QBAG) -> dict[str, list[str]]:
@@ -195,9 +183,8 @@ def restrict(g: QBAG, keep: Iterable[str]) -> QBAG:
     edges survive iff both endpoints are retained."""
     keep = set(keep)
     g._require(*keep)
-    return QBAG(
-        tuple(sorted(keep)),
-        {a: g.base_scores[a] for a in sorted(keep)},
+    return make_qbag(
+        {a: g.base_scores[a] for a in keep},
         frozenset(e for e in g.attacks if e[0] in keep and e[1] in keep),
         frozenset(e for e in g.supports if e[0] in keep and e[1] in keep),
     )
@@ -258,8 +245,11 @@ class Topology:
                                dtype=np.intp, count=2 * (n_att + len(supports))).reshape(-1, 2)
         except KeyError:
             ends = None
-        if ends is None or not attacks.isdisjoint(supports):
-            check_edges(index.keys(), attacks, supports)  # raises, naming the first bad edge
+        if ends is None or not attacks.isdisjoint(supports):  # name the first bad edge, in sorted order
+            for a, b in sorted(attacks | supports):
+                if a not in index or b not in index:
+                    raise GraphFormatError(f"edge ({a!r}, {b!r}) has an endpoint outside the argument set")
+            raise GraphFormatError(f"edges in both attack and support relations: {sorted(attacks & supports)}")
         src, dst = ends[:, 0], ends[:, 1]
         sign = np.ones(len(ends))
         sign[:n_att] = -1.0
@@ -408,51 +398,27 @@ _ARG_KEYS = {"id", "base_score"}
 _TOP_KEYS = {"arguments", "attacks", "supports"}
 
 
-def _parse_edges(raw: object, label: str) -> frozenset[Edge]:
-    if not isinstance(raw, list):
-        raise GraphFormatError(f"{label} must be a list of [from, to] pairs")
-    if not _str_pairs(raw, list):
-        for item in raw:
-            if not isinstance(item, list) or len(item) != 2 or not all(isinstance(e, str) for e in item):
-                raise GraphFormatError(f"bad {label} entry: {item!r}")
-    return frozenset(map(tuple, raw))
-
-
 def parse_qbag(data: bytes | str) -> QBAG:
-    """Parse the JSON graph document.
+    """Parse the JSON graph document into a graph (make_qbag).
 
     Schema: {"arguments": [{"id": ..., "base_score": ...}, ...],
     "attacks": [[from, to], ...], "supports": [[from, to], ...]}.
     It follows the document rule (errors.json_object); attacks/supports may
-    be omitted. The graph builds its topology here, which rejects an edge
-    with an endpoint outside the argument set or in both relations.
+    be omitted. Each argument entry has exactly these keys, and no id
+    appears twice. Bulk passes decide; only a failure loops to name it.
     """
     doc = json_object(data, "graph document", _TOP_KEYS, GraphFormatError)
-    if not isinstance(doc.get("arguments"), list):
-        raise GraphFormatError('graph document needs an "arguments" list')
-
-    scores: dict[str, float] = {}
-    for entry in doc["arguments"]:
-        if not isinstance(entry, dict):
-            raise GraphFormatError(f"argument entry must be an object, got {entry!r}")
-        extra = set(entry) - _ARG_KEYS
-        if extra:
-            raise GraphFormatError(f"unknown keys in argument entry: {sorted(extra)}")
-        if "id" not in entry or "base_score" not in entry:
-            raise GraphFormatError(f"argument entry needs id and base_score: {entry!r}")
-        arg = entry["id"]
-        if not isinstance(arg, str) or not arg:
-            raise GraphFormatError(f"argument id must be a non-empty string, got {arg!r}")
-        if arg in scores:
-            raise GraphFormatError(f"duplicate argument id: {arg!r}")
-        scores[arg] = entry["base_score"]
-
-    scores = _checked_scores(scores)
-    attacks = _parse_edges(doc.get("attacks", []), "attacks")
-    supports = _parse_edges(doc.get("supports", []), "supports")
-    g = QBAG(tuple(scores), scores, attacks, supports)
-    g.topology  # built now: the build is the edge check
-    return g
+    entries = checked_items(doc.get("arguments"), "arguments", "argument entries", GraphFormatError)
+    if not (set(map(type, entries)) <= {dict} and all(entry.keys() == _ARG_KEYS for entry in entries)):
+        for entry in entries:
+            if checked_object(entry, "argument entry", _ARG_KEYS, GraphFormatError).keys() != _ARG_KEYS:
+                raise GraphFormatError(f"argument entry needs id and base_score: {entry!r}")
+    ids = checked_ids([entry["id"] for entry in entries], "arguments", GraphFormatError)
+    scores = dict(zip(ids, [entry["base_score"] for entry in entries]))
+    if len(scores) < len(ids):
+        counts = Counter(ids)
+        raise GraphFormatError(f"duplicate argument id: {next(a for a, n in counts.items() if n > 1)!r}")
+    return make_qbag(scores, doc.get("attacks", []), doc.get("supports", []))
 
 
 def serialize_qbag(g: QBAG) -> bytes:

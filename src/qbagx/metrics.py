@@ -15,16 +15,17 @@ import math
 import time
 import zlib
 from bisect import bisect_left, bisect_right
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import checked_int, json_object
+from .errors import checked_int, checked_items, json_object
 from .explanation import DesiredOrdering, ExplanationQuery, amount_of_change
 from .generators import GenSpec, LayerStructure, check_family, check_mutable_mode, check_target, generate_batch, mutable_preset, structure
+from .graph import make_qbag
 from .search import SearchConfig, heuristic_search, search_config_from_doc
 from .semantics import builtin_semantics, final_strengths
 
@@ -70,13 +71,6 @@ def spearman_rho(ordering: DesiredOrdering, strengths: Mapping[str, float]) -> f
     return float(np.corrcoef(*ranks)[1, 0])
 
 
-def _tuple(value, what: str) -> tuple:
-    """`value`, a list or a tuple, as a tuple, or ValueError naming `what`."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list, got {value!r}")
-    return tuple(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     structures: tuple[LayerStructure, ...]  # or lists of layer sizes
@@ -90,13 +84,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every run's inputs are checked here, before the first search
-        structures = tuple(s if isinstance(s, LayerStructure) else structure(_tuple(s, "a layer structure"))
-                           for s in _tuple(self.structures, "structures"))
-        cells = tuple(_tuple(c, "a cell") for c in _tuple(self.cells, "cells"))
+        structures = tuple(s if isinstance(s, LayerStructure) else structure(checked_items(s, "a layer structure", "sizes"))
+                           for s in checked_items(self.structures, "structures", "layer structures"))
+        cells = tuple(checked_items(c, "a cell", "a family and a mutable mode")
+                      for c in checked_items(self.cells, "cells", "(family, mutable mode) pairs"))
         if any(len(c) != 2 for c in cells):
             raise ValueError("a cell must be a (family, mutable mode) pair")
         for name, value in (("structures", structures), ("cells", cells),
-                            ("semantics", _tuple(self.semantics, "semantics")),
+                            ("semantics", checked_items(self.semantics, "semantics", "semantics tokens")),
                             ("n_graphs", checked_int(self.n_graphs, "n_graphs", least=1)),
                             ("seed", checked_int(self.seed, "seed"))):
             object.__setattr__(self, name, value)
@@ -180,7 +175,7 @@ def run_graph(
     outcome = heuristic_search(query, search)
     elapsed = time.perf_counter() - started
 
-    sigma = final_strengths(replace(instance.graph, base_scores=outcome.final_scores), spec)
+    sigma = final_strengths(make_qbag(outcome.final_scores, instance.graph.attacks, instance.graph.supports), spec)
     kendall = kendall_tau(instance.ordering, sigma)
     spearman = spearman_rho(instance.ordering, sigma)
 

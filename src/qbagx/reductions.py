@@ -31,9 +31,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GraphFormatError, UndefinedStrengthError, UnknownArgumentError, checked_real, json_object
+from .errors import GraphFormatError, UndefinedStrengthError, UnknownArgumentError, checked_ids, checked_real, json_object
 from .explanation import DesiredOrdering, ExplanationQuery, ordering_from_doc, ordering_from_tiers
-from .graph import QBAG, Edge, _parse_edges, check_edges, make_qbag
+from .graph import QBAG, Edge, make_qbag
 from .search import SearchConfig, SearchOutcome, _adam_search, _Workspace
 from .semantics import SemanticsSpec, final_strengths
 
@@ -46,7 +46,11 @@ class InverseProblem:
     ordering: DesiredOrdering
 
     def __post_init__(self):
-        check_edges(set(self.arguments), self.attacks, self.supports)
+        # the ids, kept sorted and once each, and the edges as make_qbag checks and keeps them
+        graph = make_qbag(dict.fromkeys(checked_ids(self.arguments, "problem arguments", GraphFormatError), 0.0),
+                          self.attacks, self.supports)
+        for name in ("arguments", "attacks", "supports"):
+            object.__setattr__(self, name, getattr(graph, name))
         if self.ordering.topic_set != frozenset(self.arguments):
             raise GraphFormatError("the desired ordering must cover exactly the argument set")
 
@@ -56,20 +60,12 @@ def inverse_problem_from_json(data: str | bytes) -> InverseProblem:
     document: its edges and ordering follow the graph's and the ordering
     document's rules, and attacks and supports may be omitted."""
     doc = json_object(data, "problem document", {f.name for f in fields(InverseProblem)}, GraphFormatError)
-    arguments = doc.get("arguments")
-    if not (type(arguments) is list and all(type(a) is str for a in arguments)):
-        raise GraphFormatError('problem document needs an "arguments" list of argument ids')
-    attacks, supports = (_parse_edges(doc.get(key, []), key) for key in ("attacks", "supports"))
-    return make_inverse_problem(arguments, attacks, supports, ordering_from_doc(doc.get("ordering")).tiers)
+    return InverseProblem(doc.get("arguments"), doc.get("attacks", []), doc.get("supports", []),
+                          ordering_from_doc(doc.get("ordering")))
 
 
 def make_inverse_problem(arguments: Iterable[str], attacks, supports, tiers) -> InverseProblem:
-    return InverseProblem(
-        tuple(sorted(set(arguments))),
-        frozenset((str(a), str(b)) for a, b in attacks),
-        frozenset((str(a), str(b)) for a, b in supports),
-        ordering_from_tiers(tiers),
-    )
+    return InverseProblem(arguments, attacks, supports, ordering_from_tiers(tiers))
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,7 @@ class CounterfactualProblem:
     semantics: SemanticsSpec
 
     def __post_init__(self):
+        checked_ids((self.topic,), "counterfactual topic", GraphFormatError)
         if self.topic not in self.graph.base_scores:
             raise UnknownArgumentError(f"unknown topic argument: {self.topic!r}")
         object.__setattr__(self, "target", checked_real(self.target, "target strength", GraphFormatError))

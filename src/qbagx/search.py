@@ -51,7 +51,7 @@ class SearchConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        for name, least in (("max_iterations", 1), ("restarts", 0), ("rng_seed", None)):
+        for name, least in (("max_iterations", 1), ("restarts", 0), ("rng_seed", 0)):
             object.__setattr__(self, name, checked_int(getattr(self, name), name, least))
         if not isinstance(self.record_trajectory, bool):
             raise ValueError(f"record_trajectory must be true or false, got {self.record_trajectory!r}")

@@ -52,7 +52,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CyclicGraphError, DomainError, checked_int, checked_object, checked_real, json_document
-from .graph import QBAG, parents_map, reachable_from, restrict, topological_levels
+from .graph import QBAG, make_qbag, parents_map, reachable_from, restrict, topological_levels
 
 # Absolute tolerance for float comparisons in principle checks.
 CHECK_TOL = 1e-12
@@ -642,9 +642,7 @@ def check_principle(g: QBAG, spec: SemanticsSpec, principle: str, rng_seed: int 
         for edge in sorted(g.edges()):
             y, z = edge
             reach = reachable_from(g, {z}) | {z}
-            attacks = g.attacks - {edge}
-            supports = g.supports - {edge}
-            smaller = QBAG(g.arguments, g.base_scores, frozenset(attacks), frozenset(supports))
+            smaller = make_qbag(g.base_scores, g.attacks - {edge}, g.supports - {edge})
             sigma2 = _strengths_or_raise(smaller, spec)
             for x in g.arguments:
                 if x in reach:

@@ -1,4 +1,5 @@
-"""The one number rule and the one document rule at the boundary.
+"""The one number rule, the one identifier rule and the one document rule
+at the boundary.
 
 Every real that enters qbagx goes through errors.checked_real (a
 numbers.Real, not a bool, that fits a float) and every integer through
@@ -7,12 +8,20 @@ value). The table names each field or argument that takes a number, the
 error class it raises, and runs it against values it must refuse. 10**400
 is an integer, so it is refused only where a real is wanted.
 
+Every collection of argument ids goes through errors.checked_ids (a
+collection that is not a string or a mapping, of non-empty strs) and every
+edge collection through graph.edge_set (pairs of two strs). The identifier
+table runs every entry point that takes ids or edges against inputs that
+break the rule, and each must raise its own class with the rule's message.
+
 Every JSON document goes through errors.json_document (UTF-8, valid JSON,
-no NaN or infinity literals) and errors.checked_object (an object with no
-unknown key). The document table runs every reader against documents that
-break each part of the rule.
+no NaN or infinity literals, no key twice in an object) and
+errors.checked_object (an object with no unknown key). The document table
+runs every reader against documents that break each part of the rule.
 """
 
+import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -65,7 +74,9 @@ INTS = {
     "experiment jobs": (ValueError, lambda v: q.run_experiment(q.ExperimentConfig(**EXPERIMENT), jobs=v), 1),
     "search max_iterations": (ValueError, _search("max_iterations"), 1),
     "search restarts": (ValueError, _search("restarts"), 0),
-    "search rng_seed": (ValueError, _search("rng_seed"), None),
+    "search rng_seed": (ValueError, _search("rng_seed"), 0),
+    "generator seed": (ValueError, lambda v: q.GenSpec(q.structure((2, 2)), "random", v), 0),
+    "batch count": (ValueError, lambda v: q.generate_batch(q.GenSpec(q.structure((2, 2)), "random", 0), v), 0),
 }
 
 CASES = [pytest.param(error, build, value, id=f"{name}={value!r:.12}")
@@ -89,6 +100,14 @@ def test_accepted_numbers_are_stored_as_floats_and_ints():
     assert type(q.apply_change(GRAPH, change).base_scores["t"]) is float
     grid = q.GridSpec(step=1, lower=0, upper=4)
     assert (type(grid.step), type(grid.lower), type(grid.upper)) == (float, float, float)
+
+
+@pytest.mark.parametrize("option, value", [("--count", "-2"), ("--seed", "-1")])
+def test_a_bad_generate_count_or_seed_makes_no_output_directory(tmp_path, capsys, option, value):
+    """--count -2 used to exit 0 after creating --out."""
+    out = tmp_path / "out"
+    code = main(["generate", "--structure", "2,2", "--out", str(out), option, value])
+    assert code == 2 and not out.exists()
 
 
 def test_a_search_config_value_too_large_for_a_float_exits_2(tmp_path, capsys):
@@ -145,6 +164,7 @@ BAD_DOCUMENTS = {
     "non-object": (lambda key: '[{"%s": 1}]' % key, "must be a JSON object"),
     "unknown key": (lambda key: '{"%s": 1, "bogus": 1}' % key, r"unknown keys in .*\['bogus'\]"),
     "deep nesting": (lambda key: '{"%s": %s}' % (key, "[" * 5000 + "]" * 5000), "invalid JSON in .*recursion"),
+    "duplicate key": (lambda key: '{"%s": 1, "%s": 2}' % (key, key), "invalid JSON in .*duplicate key '%s'"),
 }
 
 
@@ -154,7 +174,7 @@ def test_every_document_follows_the_document_rule(reader, error, key, document, 
     """b"\\xff" used to raise UnicodeDecodeError from every library reader,
     search_config_from_json("not json") a bare JSONDecodeError, and deep
     nesting a RecursionError (qbagx exited 1 with a traceback)."""
-    with pytest.raises(error, match=message) as exc:
+    with pytest.raises(error, match=message % key if "%s" in message else message) as exc:
         reader(document(key))
     assert type(exc.value) is error
 
@@ -176,3 +196,91 @@ def test_only_errors_py_decodes_json():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "errors.py":
             assert not re.search(r"\bloads\b|\bJSONDecoder\b", path.read_text()), path.name
+
+
+def _scores(ids):
+    return ids if isinstance(ids, str) else dict.fromkeys(ids, 0.5)
+
+
+def _graph_document(ids=("a", "t"), attacks=()):
+    arguments = ids if isinstance(ids, str) else [{"id": x, "base_score": 0.5} for x in ids]
+    return json.dumps({"arguments": arguments, "attacks": attacks})
+
+
+def _problem_document(ids=("a", "t"), attacks=()):
+    return json.dumps({"arguments": ids, "attacks": attacks, "ordering": {"tiers": [["a"], ["t"]]}})
+
+
+def _topic(ids):
+    return [ids] if isinstance(ids, str) else ids[-1]  # a list where the one topic id belongs
+
+
+# entry point: (its error class, build from ids, build from an attacks collection or None)
+ID_ENTRIES = {
+    "make_qbag": (GraphFormatError, lambda ids: q.make_qbag(_scores(ids)),
+                  lambda attacks: q.make_qbag({"a": 0.5, "t": 0.5}, attacks)),
+    "parse_qbag": (GraphFormatError, lambda ids: q.parse_qbag(_graph_document(ids)),
+                   lambda attacks: q.parse_qbag(_graph_document(attacks=attacks))),
+    "StrengthChange": (InvalidChangeError, lambda ids: q.StrengthChange(_scores(ids)), None),
+    "change_from_json": (GraphFormatError, lambda ids: q.change_from_json(json.dumps({"changes": _scores(ids)})), None),
+    "DesiredOrdering": (GraphFormatError, lambda ids: q.DesiredOrdering((ids,)), None),
+    "ordering_from_tiers": (GraphFormatError, lambda ids: q.ordering_from_tiers(ids if isinstance(ids, str) else [ids]),
+                            None),
+    "ordering_from_json": (GraphFormatError, lambda ids: q.ordering_from_json(json.dumps({"tiers": [ids]})), None),
+    "ExplanationQuery": (ValueError, lambda ids: q.ExplanationQuery(GRAPH, q.DFQUAD, ids, QUERY.ordering), None),
+    "CounterfactualProblem": (GraphFormatError, lambda ids: q.CounterfactualProblem(GRAPH, _topic(ids), 0.9, q.DFQUAD),
+                              None),
+    "make_inverse_problem": (GraphFormatError, lambda ids: q.make_inverse_problem(ids, [], [], [["a"], ["t"]]),
+                             lambda attacks: q.make_inverse_problem(["a", "t"], attacks, [], [["a"], ["t"]])),
+    "inverse_problem_from_json": (GraphFormatError, lambda ids: q.inverse_problem_from_json(_problem_document(ids)),
+                                  lambda attacks: q.inverse_problem_from_json(_problem_document(attacks=attacks))),
+}
+
+# input: (ids, message)
+BAD_IDS = {
+    "non-str id": (["t", 1], "argument id must be a non-empty string, got 1"),
+    "empty id": (["t", ""], "argument id must be a non-empty string, got ''"),
+    "string for the ids": ("at", r"must be a (list|mapping) of|got \['at'\]"),
+}
+
+# input: (attacks, message)
+BAD_EDGES = {
+    "string for the edges": ("at", r"attacks must be a list of \[from, to\] pairs"),
+    "string edge": ([["a", "t"], "ab"], "bad attacks entry: 'ab'"),
+    "3-element edge": ([("a", "t", "a")], r"bad attacks entry: .'a', 't', 'a'."),
+    "int endpoint": ([("a", 1)], r"bad attacks entry: .'a', 1."),
+}
+
+ID_CASES = [pytest.param(error, build, value, message, id=f"{entry}-{name}")
+            for entry, (error, *builds) in ID_ENTRIES.items()
+            for build, table in zip(builds, (BAD_IDS, BAD_EDGES)) if build is not None
+            for name, (value, message) in table.items()
+            if (entry, name) != ("change_from_json", "non-str id")]  # a JSON object's keys are strings
+
+
+@pytest.mark.parametrize("error, build, value, message", ID_CASES)
+def test_every_id_and_edge_follows_the_identifier_rule(error, build, value, message):
+    """make_qbag used to read the edge "ab" as a -> b, ordering_from_tiers to
+    make the tier {'None'} of [[None]], make_inverse_problem to take "ab" as
+    the arguments a and b, and a 3-element edge or a list as a topic or
+    mutable id raised an unpacking ValueError or a TypeError."""
+    with pytest.raises(error, match=message) as exc:
+        build(value)
+    assert type(exc.value) is error
+
+
+def test_only_make_qbag_constructs_a_graph():
+    """Every graph in the package passes make_qbag's checks: no other code calls QBAG(...)."""
+    callers = set()
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and "QBAG" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            callers.add((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "<module>")
+    assert callers == {("graph.py", "make_qbag")}

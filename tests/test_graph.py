@@ -229,8 +229,8 @@ def test_parse_rejects_malformed_documents(bad, message):
         ({"a": 0.5, "": 0.1}, [], [], "argument id must be a non-empty string, got ''"),
         ({"a": 0.5, "b": "x"}, [], [], "base score of 'b' must be a real number, got 'x'"),
         ({"a": 0.5, "b": np.float64("nan")}, [], [], "base score of 'b' must be finite, got"),
-        # endpoints are converted with str(), as they always were
-        ({"a": 0.5, "b": 0.1}, [("a", "b"), ("a", 1)], [], "edge ('a', '1') has an endpoint outside the argument set"),
+        # an endpoint that is no str breaks the edge rule, as it does in a document
+        ({"a": 0.5, "b": 0.1}, [("a", "b"), ("a", 1)], [], "bad attacks entry: ('a', 1)"),
         ({"a": 0.5, "b": 0.1}, [("a", "b")], [("b", "a"), ("z", "b")],
          "edge ('z', 'b') has an endpoint outside the argument set"),
         ({"a": 0.5, "b": 0.1}, frozenset({("a", "b")}), [["a", "b"]], "edges in both attack and support relations"),

@@ -539,7 +539,9 @@ def test_moving_an_edge_between_relations_changes_the_plan():
 
 
 def test_a_request_builds_its_topology_once(builds):
-    g = q.parse_qbag(q.serialize_qbag(random_dag(3, 8, 9)[0]))
+    document = q.serialize_qbag(random_dag(3, 8, 9)[0])
+    builds.clear()  # make_qbag built the source graph's topology
+    g = q.parse_qbag(document)
     q.final_strengths(g, q.DFQUAD)
     query = q.ExplanationQuery(g, q.DFQUAD, frozenset(g.arguments[:2]), q.ordering_from_tiers([[g.arguments[0]]]))
     q.is_explanation(query, q.StrengthChange({g.arguments[0]: 0.5}), mode="weak")
@@ -549,16 +551,16 @@ def test_a_request_builds_its_topology_once(builds):
 @pytest.mark.parametrize("compiled_before", [False, True])
 def test_a_search_its_verification_and_its_strengths_share_one_topology(builds, compiled_before):
     for seed in range(5):
-        query = random_tiny_query(seed)
+        builds.clear()
+        query = random_tiny_query(seed)  # make_qbag builds the graph's topology
         g = query.graph
         if compiled_before:
             compile_graph(g)
-        builds.clear()
         outcome = q.heuristic_search(query)
         if outcome.found:
             assert q.is_explanation(query, outcome.change, mode="weak")
         q.final_strengths(q.make_qbag(outcome.final_scores, g.attacks, g.supports), query.semantics)
-        assert len(builds) == (0 if compiled_before else 1)
+        assert builds == [g.arguments]
 
 
 def test_derived_graphs_share_the_topology_by_identity():
@@ -573,13 +575,12 @@ def test_derived_graphs_share_the_topology_by_identity():
 
 def test_narrower_arguments_are_checked_and_wider_ones_derive_the_topology(builds):
     g = q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3}, attacks=[("a", "b")], supports=[("b", "c")])
-    g.topology
     with pytest.raises(GraphFormatError, match=r"edge \('b', 'c'\) has an endpoint outside"):
         q.make_qbag({"a": 0.1, "b": 0.2}, g.attacks, g.supports)
     wider = q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}, g.attacks, g.supports)
     assert wider.topology is not g.topology and wider.topology.n == 4
     assert_same_blocks(wider.topology.blocks, plan_blocks_reference(wider))
-    assert builds == [("a", "b", "c")]
+    assert builds == [("a", "b", "c"), ("a", "b")]  # the narrower graph's build is its failed endpoint check
     assert graph._shared(g.arguments, g.attacks, g.supports) is g.topology  # the index keeps the base
 
 

@@ -177,7 +177,7 @@ class ExplanationQuery:
 
 def induced_ordering(g: QBAG, spec: SemanticsSpec, topics) -> set[tuple[str, str]]:
     """The final-strength preorder on `topics`: all (x, y) with sigma(x) <= sigma(y)."""
-    topics = sorted(set(topics))
+    topics = sorted(set(checked_ids(topics, "topics", UnknownArgumentError)))
     sigma = final_strengths(g, spec)
     for x in topics:
         if x not in sigma:

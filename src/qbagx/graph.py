@@ -6,7 +6,7 @@ immutable after construction and every operation is pure; arguments are
 kept sorted by id so iteration order is deterministic.
 
 make_qbag makes every graph and builds its Topology (index, depths,
-evaluation blocks), the check of its edges' endpoints; the graph keeps it.
+evaluation blocks), the one check of its edges; the graph keeps it.
 Graphs on the same edge-set objects and arguments share one through an
 index of live topologies keyed by the identity of those objects.
 A graph on those edge sets whose arguments hold the live topology's ids in
@@ -22,6 +22,7 @@ import json
 import math
 import weakref
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
@@ -71,13 +72,9 @@ class QBAG:
     def topology(self) -> Topology:
         """Built by make_qbag or on first use; shared by graphs on the same edge-set
         objects and arguments, and derived from it for more arguments (Topology.extended)."""
-        topology = _shared(self.arguments, self.attacks, self.supports)
-        if topology is None:
-            topology = Topology(self.arguments, self.attacks, self.supports)
-            _SHARED.setdefault((id(self.attacks), id(self.supports)), topology)
-        elif topology.ids != self.arguments:
-            topology = topology.extended(self.arguments)
-        return topology
+        graph = (self.arguments, self.attacks, self.supports)
+        topology = _shared(*graph) or Topology(*graph)
+        return topology if topology.ids == self.arguments else topology.extended(self.arguments)
 
     def __getstate__(self):
         # a copy or an unpickled graph finds or builds its topology again
@@ -92,20 +89,19 @@ def make_qbag(
     """Validate and build a graph: the one constructor of QBAG.
 
     The ids follow the identifier rule (errors.checked_ids), the scores the
-    number rule (errors.checked_real) and the edges the edge rule (edge_set).
-    The graph then builds its topology, which rejects an edge with an
-    endpoint outside the argument set or in both relations. Edge sets that a
-    live topology was built on skip the edge rule and the build when its ids
-    appear among the new ones in the same order: its build checked every
-    edge against a subset of them. The graph then shares that topology, or,
-    with added arguments, derives its own from it (Topology.extended).
+    number rule (errors.checked_real); the topology build checks the edges
+    and makes the frozensets the graph keeps. Edge sets a live topology was
+    built on skip the build when its ids appear among the new ones in the
+    same order: it checked every edge against a subset of them. The graph
+    shares it, or derives its own for added arguments (Topology.extended).
     """
     scores = _checked_scores(base_scores)
     ids = tuple(scores)
     if _shared(ids, attacks, supports) is not None:
         return QBAG(ids, scores, attacks, supports)
-    g = QBAG(ids, scores, edge_set(attacks, "attacks"), edge_set(supports, "supports"))
-    g.topology  # built now: the build is the endpoint check
+    topology = Topology(ids, attacks, supports)
+    g = QBAG(ids, scores, topology.attacks, topology.supports)
+    vars(g)["topology"] = topology  # QBAG.topology's cache
     return g
 
 
@@ -131,18 +127,26 @@ def _checked_scores(scores: Mapping[str, float], what: str = "base score",
 
 def edge_set(edges: Iterable[Edge], what: str) -> frozenset[Edge]:
     """The edges as a frozenset of (str, str) tuples, or GraphFormatError
-    naming `what`: a collection (errors.checked_items) of pairs, each a tuple
-    or list of two str. A frozenset of such tuples is returned as it is, so
-    graphs derived from one another share their edge sets. Bulk passes
-    decide; only when one fails does a loop name the first bad entry."""
+    naming `what` and the first bad entry: a collection (errors.checked_items)
+    of pairs, each a tuple or list of two str; a frozenset of such tuples is
+    kept. The topology build calls it where its bulk passes fail."""
     if type(edges) not in (frozenset, list, tuple):  # those three need no copy to be read twice
         edges = checked_items(edges, what, "[from, to] pairs", GraphFormatError)
-    if not (set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {str}):
-        for item in edges:
-            if not isinstance(item, (tuple, list)) or len(item) != 2 or not all(isinstance(e, str) for e in item):
-                raise GraphFormatError(f"bad {what} entry: {item!r}")
+    for item in edges:
+        if not isinstance(item, (tuple, list)) or len(item) != 2 or not all(isinstance(e, str) for e in item):
+            raise GraphFormatError(f"bad {what} entry: {item!r}")
     return edges if type(edges) is frozenset else frozenset(map(tuple, edges))
+
+
+def _checked_edges(given: list, index: Mapping[str, int]) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """The edge checks that name a fault: edge_set, endpoints (sorted), both relations."""
+    attacks, supports = edge_set(given[0], "attacks"), edge_set(given[1], "supports")
+    for a, b in sorted(attacks | supports):
+        if a not in index or b not in index:
+            raise GraphFormatError(f"edge ({a!r}, {b!r}) has an endpoint outside the argument set")
+    if not attacks.isdisjoint(supports):
+        raise GraphFormatError(f"edges in both attack and support relations: {sorted(attacks & supports)}")
+    return attacks, supports
 
 
 def successors_map(g: QBAG) -> dict[str, list[str]]:
@@ -161,14 +165,16 @@ def parents_map(g: QBAG) -> dict[str, list[str]]:
 
 def can_reach(g: QBAG, sources: Iterable[str], targets: Iterable[str]) -> bool:
     """True iff a nonempty directed path leads from some source to some target."""
-    sources = set(sources)
-    targets = set(targets)
-    g._require(*sources, *targets)
-    return not reachable_from(g, sources).isdisjoint(targets)
+    reached = reachable_from(g, sources)  # which checks the sources
+    targets = checked_ids(targets, "targets", UnknownArgumentError)
+    g._require(*targets)
+    return not reached.isdisjoint(targets)
 
 
 def reachable_from(g: QBAG, sources: Iterable[str]) -> set[str]:
     """All arguments reachable from the sources via a nonempty path."""
+    sources = checked_ids(sources, "sources", UnknownArgumentError)
+    g._require(*sources)
     succ = successors_map(g)
     frontier = {b for s in sources for b in succ[s]}
     seen: set[str] = set()
@@ -181,7 +187,7 @@ def reachable_from(g: QBAG, sources: Iterable[str]) -> set[str]:
 def restrict(g: QBAG, keep: Iterable[str]) -> QBAG:
     """Induced subgraph on `keep`: retained arguments keep their base scores,
     edges survive iff both endpoints are retained."""
-    keep = set(keep)
+    keep = set(checked_ids(keep, "kept arguments", UnknownArgumentError))
     g._require(*keep)
     return make_qbag(
         {a: g.base_scores[a] for a in keep},
@@ -224,32 +230,40 @@ class Topology:
     it come the blocks of the arguments no cycle reaches, one per depth;
     after it those of the arguments a cycle reaches but that reach none, one
     per length of their longest path onwards, longest first. Arrays are
-    read-only. It keeps the edge sets it was built on, so that no other
-    object takes their ids while it lives.
+    read-only. It keeps its edge frozensets, so that no other object takes
+    their ids while it lives, and is found by them (_SHARED).
     """
 
-    def __init__(self, arguments: tuple[str, ...], attacks: frozenset[Edge], supports: frozenset[Edge]):
-        """Map the edges to index arrays, rejecting an edge with an unknown
-        endpoint or in both relations, then peel Kahn frontiers: each round
-        takes the arguments left without unprocessed parents, so an
-        argument's round is its longest-path depth. One bincount per round.
-        Where the rounds stall on cycles, the arguments left are peeled
-        backwards from those without successors (_heights): those never
-        taken are the core, one level after the last round, and the others
-        follow it, longest path to the end first."""
-        self.ids, self.attacks, self.supports = tuple(arguments), attacks, supports
+    def __init__(self, arguments: tuple[str, ...], attacks: Iterable[Edge], supports: Iterable[Edge]):
+        """Check the edges in bulk, build their frozensets once and map each
+        endpoint to its position in one pass, a failed lookup being the
+        endpoint check (_checked_edges names a fault). Then peel Kahn
+        frontiers: each round takes the arguments left without unprocessed
+        parents, so an argument's round is its longest-path depth. One
+        bincount per round. Where the rounds stall on cycles, the arguments
+        left are peeled backwards from those without successors (_heights):
+        those never taken are the core, one level after the last round, and
+        the others follow it, longest path to the end first."""
+        self.ids = tuple(arguments)
         index = {a: i for i, a in enumerate(self.ids)}
-        n, n_att = len(self.ids), len(attacks)
+        given, sets = [attacks, supports], None
+        with suppress(GraphFormatError, TypeError):  # a collection checked_items refuses, an unhashable endpoint
+            for i, what in enumerate(("attacks", "supports")):
+                if type(given[i]) not in (frozenset, list, tuple):  # each is read twice
+                    given[i] = checked_items(given[i], what, "[from, to] pairs", GraphFormatError)
+            if set(map(type, chain(*given))) <= {tuple, list} and set(map(len, chain(*given))) <= {2}:
+                sets = tuple(e if type(e) is frozenset else frozenset(map(tuple, e)) for e in given)
+                pairs = [e if len(e) == len(s) else s for e, s in zip(given, sets)]  # shorter: duplicates merged
+        if sets is None or not sets[0].isdisjoint(sets[1]):
+            sets = pairs = _checked_edges(given, index)
         try:
-            ends = np.fromiter(map(index.__getitem__, chain.from_iterable(chain(attacks, supports))),
-                               dtype=np.intp, count=2 * (n_att + len(supports))).reshape(-1, 2)
-        except KeyError:
-            ends = None
-        if ends is None or not attacks.isdisjoint(supports):  # name the first bad edge, in sorted order
-            for a, b in sorted(attacks | supports):
-                if a not in index or b not in index:
-                    raise GraphFormatError(f"edge ({a!r}, {b!r}) has an endpoint outside the argument set")
-            raise GraphFormatError(f"edges in both attack and support relations: {sorted(attacks & supports)}")
+            ends = np.fromiter(map(index.__getitem__, chain.from_iterable(chain(*pairs))), dtype=np.intp,
+                               count=2 * (len(sets[0]) + len(sets[1]))).reshape(-1, 2)
+        except (KeyError, TypeError):  # an endpoint that is not an argument id, or unhashable
+            _checked_edges(given, index)  # names the first fault
+            raise
+        self.attacks, self.supports = sets
+        n, n_att = len(self.ids), len(self.attacks)
         src, dst = ends[:, 0], ends[:, 1]
         sign = np.ones(len(ends))
         sign[:n_att] = -1.0
@@ -272,6 +286,7 @@ class Topology:
         self.index, self.n = MappingProxyType(index), n
         self.depth = level if self.core is None else None
         self.blocks = _blocks(src, dst, sign, level, self.core, n)
+        _SHARED.setdefault((id(self.attacks), id(self.supports)), self)
 
     def extended(self, arguments: tuple[str, ...]) -> Topology:
         """The topology of `arguments` on the same edges, where `arguments`

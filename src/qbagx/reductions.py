@@ -143,7 +143,7 @@ def reduce_counterfactual(problem: CounterfactualProblem, dummy_id: str | None =
         dummy_id = "y"
         while dummy_id in g.base_scores:
             dummy_id += "_"
-    elif dummy_id in g.base_scores:
+    elif checked_ids((dummy_id,), "dummy argument id", GraphFormatError)[0] in g.base_scores:
         raise GraphFormatError(f"dummy argument id {dummy_id!r} collides with an existing argument")
     scores = dict(g.base_scores)
     scores[dummy_id] = problem.target

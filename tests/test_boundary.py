@@ -10,9 +10,11 @@ is an integer, so it is refused only where a real is wanted.
 
 Every collection of argument ids goes through errors.checked_ids (a
 collection that is not a string or a mapping, of non-empty strs) and every
-edge collection through graph.edge_set (pairs of two strs). The identifier
-table runs every entry point that takes ids or edges against inputs that
-break the rule, and each must raise its own class with the rule's message.
+edge collection through the edge rule (pairs of two argument ids: the
+topology build's bulk passes and endpoint lookup, then graph.edge_set to name
+a fault). The identifier table runs every entry point that takes ids or
+edges against inputs that break the rule, and each must raise its own class
+with the rule's message.
 
 Every JSON document goes through errors.json_document (UTF-8, valid JSON,
 no NaN or infinity literals, no key twice in an object) and
@@ -30,7 +32,8 @@ import pytest
 
 import qbagx as q
 from qbagx.cli import main
-from qbagx.errors import GraphFormatError, InvalidChangeError
+from qbagx.errors import GraphFormatError, InvalidChangeError, UnknownArgumentError
+from qbagx.graph import reachable_from
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qbagx"
 
@@ -212,7 +215,7 @@ def _problem_document(ids=("a", "t"), attacks=()):
 
 
 def _topic(ids):
-    return [ids] if isinstance(ids, str) else ids[-1]  # a list where the one topic id belongs
+    return [ids] if isinstance(ids, str) else ids[-1]  # a list where the one topic or dummy id belongs
 
 
 # entry point: (its error class, build from ids, build from an attacks collection or None)
@@ -234,6 +237,13 @@ ID_ENTRIES = {
                              lambda attacks: q.make_inverse_problem(["a", "t"], attacks, [], [["a"], ["t"]])),
     "inverse_problem_from_json": (GraphFormatError, lambda ids: q.inverse_problem_from_json(_problem_document(ids)),
                                   lambda attacks: q.inverse_problem_from_json(_problem_document(attacks=attacks))),
+    "restrict": (UnknownArgumentError, lambda ids: q.restrict(GRAPH, ids), None),
+    "can_reach sources": (UnknownArgumentError, lambda ids: q.can_reach(GRAPH, ids, ["t"]), None),
+    "can_reach targets": (UnknownArgumentError, lambda ids: q.can_reach(GRAPH, ["a"], ids), None),
+    "reachable_from": (UnknownArgumentError, lambda ids: reachable_from(GRAPH, ids), None),
+    "induced_ordering": (UnknownArgumentError, lambda ids: q.induced_ordering(GRAPH, q.DFQUAD, ids), None),
+    "reduce_counterfactual dummy_id": (GraphFormatError, lambda ids: q.reduce_counterfactual(
+        q.CounterfactualProblem(GRAPH, "t", 0.9, q.DFQUAD), _topic(ids)), None),
 }
 
 # input: (ids, message)

@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import qbagx as q
 from qbagx.errors import GraphFormatError, UnknownArgumentError
 
-from helpers import fig_graph, plan_reference_cases, random_dag, topological_levels_reference
+from helpers import (assert_same_blocks, fig_graph, plan_blocks_reference, plan_reference_cases, random_dag,
+                     topological_levels_reference)
 
 
 def test_attackers_supporters_running_example():
@@ -240,6 +242,108 @@ def test_make_qbag_names_the_first_bad_entry(scores, attacks, supports, message)
     with pytest.raises(GraphFormatError) as exc:
         q.make_qbag(scores, attacks, supports)
     assert message in str(exc.value)
+
+
+_ABC = {"a": 0.1, "b": 0.2, "c": 0.3}
+_Edge = namedtuple("_Edge", "source target")
+
+
+class _Pair(list):
+    pass
+
+
+# shape: the edge collection made from a list of [from, to] lists
+EDGE_SHAPES = {
+    "JSON lists": lambda pairs: json.loads(json.dumps(pairs)),
+    "tuples": lambda pairs: tuple(map(tuple, pairs)),
+    "set": lambda pairs: set(map(tuple, pairs)),
+    "generator": lambda pairs: (tuple(pair) for pair in pairs),
+    "frozenset": lambda pairs: frozenset(map(tuple, pairs)),
+    "namedtuple entries": lambda pairs: [_Edge(*pair) for pair in pairs],  # read by edge_set, not in bulk
+    "list-subclass entries": lambda pairs: tuple(map(_Pair, pairs)),
+}
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+def test_the_topology_build_reads_every_edge_collection(shape):
+    make = EDGE_SHAPES[shape]
+    g = q.make_qbag(_ABC, make([["a", "b"], ["b", "c"]]), make([["a", "c"]]))
+    assert g.attacks == {("a", "b"), ("b", "c")} and g.supports == {("a", "c")}
+    assert type(g.attacks) is frozenset and all(type(edge) is tuple for edge in g.edges())
+    assert g.topology.attacks is g.attacks and g.topology.supports is g.supports
+    assert_same_blocks(g.topology.blocks, plan_blocks_reference(g))
+
+
+# fault: (attacks, supports, the message the per-entry checks give)
+EDGE_FAULTS = {
+    "entry not a pair": ([["a", "b"], "ab"], [], "bad attacks entry: 'ab'"),
+    "int entry": ([], [["a", "b"], 7], "bad supports entry: 7"),
+    "3-element entry": ([("a", "b", "a")], [], "bad attacks entry: ('a', 'b', 'a')"),
+    "1-element entry": ([["a"]], [], "bad attacks entry: ['a']"),
+    "two-key dict entry": ([], [{"a": 1, "b": 2}], "bad supports entry: {'a': 1, 'b': 2}"),
+    "int endpoint": ([("a", "b"), ("a", 1)], [], "bad attacks entry: ('a', 1)"),
+    "list endpoint": ([("a", ["b"])], [], "bad attacks entry: ('a', ['b'])"),
+    "unknown endpoint": ([("a", "b")], [["b", "z"]], "edge ('b', 'z') has an endpoint outside the argument set"),
+    "both relations": ([["a", "b"], ["b", "c"]], [("a", "b")], "edges in both attack and support relations: [('a', 'b')]"),
+    # two faults: the entry rule (attacks first), then unknown endpoints in sorted order, then both relations
+    "bad supports entry and unknown endpoint": ([("a", "z")], [("a", 1)], "bad supports entry: ('a', 1)"),
+    "bad entries in both relations": ([("a", 1)], ["ab"], "bad attacks entry: ('a', 1)"),
+    "bad attacks entry and a string for supports": ([("a", 1)], "ab", "bad attacks entry: ('a', 1)"),
+    "bad supports entry after a generator": (iter([("z", "a")]), [("b", None)], "bad supports entry: ('b', None)"),
+    "two unknown endpoints": ([("z", "a")], [("y", "b")], "edge ('y', 'b') has an endpoint outside the argument set"),
+    "namedtuple entry with an unknown endpoint": ([_Edge("a", "b")], [_Edge("z", "c")],
+                                                  "edge ('z', 'c') has an endpoint outside the argument set"),
+    "namedtuple entries in both relations": ([_Edge("b", "c")], (_Pair(["b", "c"]),),
+                                             "edges in both attack and support relations: [('b', 'c')]"),
+    "unknown endpoint and both relations": ([("a", "b"), ("c", "x")], [("a", "b")],
+                                            "edge ('c', 'x') has an endpoint outside the argument set"),
+}
+
+
+@pytest.mark.parametrize("attacks, supports, message", [pytest.param(*case, id=name) for name, case in EDGE_FAULTS.items()])
+def test_the_topology_build_names_the_first_edge_fault(attacks, supports, message):
+    with pytest.raises(GraphFormatError) as exc:
+        q.make_qbag(_ABC, attacks, supports)
+    assert str(exc.value) == message
+
+
+def test_duplicate_edges_merge_before_the_build():
+    g = q.make_qbag(_ABC, [["a", "b"], ("a", "b"), ["a", "b"], ["b", "c"]], json.loads('[["a", "c"], ["a", "c"]]'))
+    assert g == q.make_qbag(_ABC, [("a", "b"), ("b", "c")], [("a", "c")])
+    assert_same_blocks(g.topology.blocks, plan_blocks_reference(g))
+    assert g.topology.depth.tolist() == [0, 1, 2]
+    for rows, _, w, *_ in g.topology.blocks:  # each parent counts once in its child's row
+        children = [g.arguments[i] for i in np.arange(g.topology.n)[rows]]
+        assert np.abs(w).sum(axis=1).tolist() == [len(g.parents(x)) for x in children]
+
+
+def test_an_endpoint_equal_to_an_argument_id_passes_the_endpoint_check():
+    """The endpoint lookup is the endpoint check: a hashable value that
+    compares equal to an argument id passes it in any collection (a JSON
+    document holds none), where the per-entry check refused all but a str
+    subclass. The graph keeps the given object: only equality and the
+    topology treat it as that argument."""
+
+    class Alias:
+        def __hash__(self):
+            return hash("a")
+
+        def __eq__(self, other):
+            return other == "a"
+
+    class Name(str):
+        pass
+
+    plain = q.make_qbag(_ABC, [("a", "b")], [("b", "c")])
+    for make in (list, set, iter, frozenset):
+        g = q.make_qbag(_ABC, make([(Alias(), "b")]), make([(Name("b"), "c")]))
+        assert g.attacks == plain.attacks and g.supports == plain.supports
+        assert_same_blocks(g.topology.blocks, plain.topology.blocks)
+        assert [type(x) for x in g.attackers("b")] == [Alias]  # the given object, not the id
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            q.serialize_qbag(g)
+    with pytest.raises(GraphFormatError, match="bad attacks entry"):  # equal to no argument id
+        q.make_qbag(_ABC, [(Alias(), "z")])
 
 
 def test_make_qbag_accepts_any_pair_iterables_and_shares_str_edge_sets():

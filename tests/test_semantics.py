@@ -548,6 +548,29 @@ def test_a_request_builds_its_topology_once(builds):
     assert len(builds) == 1
 
 
+def test_a_well_formed_document_never_reaches_the_per_entry_edge_checks(monkeypatch):
+    """The bulk passes and the endpoint lookup decide every well-formed
+    graph, cyclic ones and those with duplicate edges too; the parsed graph
+    holds its topology's edge sets, and a changed graph shares that topology."""
+    graphs = [random_dag(seed, 8, 9)[0] for seed in range(10)] + plan_reference_cases()
+    documents = [q.serialize_qbag(g) for g in graphs]
+    documents.append(b'{"arguments": [{"id": "a", "base_score": 0.5}, {"id": "b", "base_score": 0.5}],'
+                     b' "attacks": [["a", "b"], ["a", "b"]], "supports": [["b", "a"]]}')
+
+    def refuse(edges, what):
+        raise AssertionError(f"per-entry checks reached on {what}")
+
+    monkeypatch.setattr(graph, "edge_set", refuse)
+    for document in documents:
+        g = q.parse_qbag(document)
+        assert g.topology.attacks is g.attacks and g.topology.supports is g.supports
+        if not g.arguments:
+            continue
+        x = g.arguments[0]
+        changed = q.apply_change(g, q.StrengthChange({x: 0.25 if g.base_scores[x] != 0.25 else 0.75}))
+        assert changed.topology is g.topology
+
+
 @pytest.mark.parametrize("compiled_before", [False, True])
 def test_a_search_its_verification_and_its_strengths_share_one_topology(builds, compiled_before):
     for seed in range(5):

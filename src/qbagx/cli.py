@@ -9,6 +9,8 @@ found, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import os
 import sys
@@ -73,15 +75,18 @@ def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _write_csv(handle, header, rows) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _cmd_eval(args) -> int:
     g = _load_graph(args.graph)
     spec = _load_semantics(args.semantics)
     sigma = final_strengths(g, spec)
-    if args.format == "csv":
-        sys.stdout.write("argument,strength\n")
-        for a in g.arguments:
-            value = sigma[a]
-            sys.stdout.write(f"{a},{'' if value is None else repr(value)}\n")
+    if args.format == "csv":  # csv writes a float as repr and None as an empty field
+        _write_csv(sys.stdout, ("argument", "strength"), sigma.items())
     else:
         _emit({"strengths": sigma})
     return EXIT_OK
@@ -90,13 +95,13 @@ def _cmd_eval(args) -> int:
 def _cmd_explain(args) -> int:
     query = _load_query(args)
     cfg = _load_search_config(args.search_config)
+    if args.trajectory:
+        cfg = dataclasses.replace(cfg, record_trajectory=True)
     outcome = heuristic_search(query, cfg)
     sys.stdout.write(outcome.to_json() + "\n")
-    if args.trajectory and outcome.trajectory is not None:
-        with open(args.trajectory, "w") as handle:
-            handle.write("iteration,cost\n")
-            for i, c in enumerate(outcome.trajectory, start=1):
-                handle.write(f"{i},{c!r}\n")
+    if args.trajectory:
+        with open(args.trajectory, "w", newline="") as handle:
+            _write_csv(handle, ("iteration", "cost"), enumerate(outcome.trajectory, start=1))
     if outcome.found:
         print(f"explanation found after {outcome.iterations_used} iterations", file=sys.stderr)
         return EXIT_OK

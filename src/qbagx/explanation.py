@@ -69,6 +69,16 @@ class DesiredOrdering:
     def tier_of(self) -> dict[str, int]:
         return {x: i for i, tier in enumerate(self.tiers) for x in tier}
 
+    def ranked_topics(self, strengths: Mapping[str, float | None]) -> tuple[dict[str, int], list[str]]:
+        """(tier_of(), the topics sorted by id), or UndefinedStrengthError
+        naming the first of them whose strength is missing or None."""
+        rank = self.tier_of()
+        topics = sorted(rank)
+        for x in topics:
+            if strengths.get(x) is None:
+                raise UndefinedStrengthError(f"strength of topic {x!r} missing or undefined")
+        return rank, topics
+
     def as_pairs(self) -> set[tuple[str, str]]:
         """The preorder: (x, y) iff tier(x) <= tier(y)."""
         rank = self.tier_of()

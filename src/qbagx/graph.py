@@ -237,13 +237,13 @@ class Topology:
     def __init__(self, arguments: tuple[str, ...], attacks: Iterable[Edge], supports: Iterable[Edge]):
         """Check the edges in bulk, build their frozensets once and map each
         endpoint to its position in one pass, a failed lookup being the
-        endpoint check (_checked_edges names a fault). Then peel Kahn
-        frontiers: each round takes the arguments left without unprocessed
-        parents, so an argument's round is its longest-path depth. One
-        bincount per round. Where the rounds stall on cycles, the arguments
-        left are peeled backwards from those without successors (_heights):
-        those never taken are the core, one level after the last round, and
-        the others follow it, longest path to the end first."""
+        endpoint check (_checked_edges names a fault). Then one Kahn peel
+        (_peel) forwards over every edge gives each argument its
+        longest-path depth. Where it stalls on cycles, a second peel runs
+        backwards over the edges among the arguments left, from those
+        without successors: those it never takes are the core, one level
+        after the last depth, and the others follow it, longest path to the
+        end first."""
         self.ids = tuple(arguments)
         index = {a: i for i, a in enumerate(self.ids)}
         given, sets = [attacks, supports], None
@@ -267,22 +267,14 @@ class Topology:
         src, dst = ends[:, 0], ends[:, 1]
         sign = np.ones(len(ends))
         sign[:n_att] = -1.0
-        indeg = np.bincount(dst, minlength=n)
-        level = np.empty(n, dtype=np.intp)
-        frontier = indeg == 0
-        for d in count():
-            if not frontier.any():
-                break
-            level[frontier] = d
-            indeg[frontier] = -1  # peeled: never a frontier again
-            indeg -= np.bincount(dst[frontier[src]], minlength=n)
-            frontier = indeg == 0
-        left, self.core = indeg >= 0, None
+        level = _peel(src, dst, np.zeros(n, dtype=bool))
+        left, self.core = level < 0, None
         if left.any():  # stalled: every argument left has a parent left, so cycles lie among them
-            height = _heights(src, dst, left)
+            inner = left[src]
+            height = _peel(dst[inner], src[inner], ~left)
             after = height >= 0
-            level[left & ~after] = self.core = d
-            level[after] = d + 1 + height.max() - height[after]
+            level[left & ~after] = self.core = int(level.max(initial=-1)) + 1
+            level[after] = self.core + 1 + height.max() - height[after]
         self.index, self.n = MappingProxyType(index), n
         self.depth = level if self.core is None else None
         self.blocks = _blocks(src, dst, sign, level, self.core, n)
@@ -317,25 +309,24 @@ class Topology:
         return derived
 
 
-def _heights(src: np.ndarray, dst: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Per argument of `left` (which holds the successors of its members),
-    the round in which a Kahn peel of the edges among them, run backwards
-    from the arguments without successors, takes it: the length of its
-    longest path to one of those. -1 for the arguments it never takes,
-    those on a cycle or on a path between two, and for those outside `left`."""
-    inner = left[src]
-    src, dst = src[inner], dst[inner]
-    outdeg = np.bincount(src, minlength=len(left))
-    outdeg[~left] = -1
-    height = np.full(len(left), -1)
-    frontier = outdeg == 0
-    for h in count():
+def _peel(src: np.ndarray, dst: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Per argument, the round in which a Kahn peel of the edges src -> dst
+    takes it, or -1 for an argument it never takes: one in `skip`, or one
+    whose parents never all go. Each round takes the arguments whose parents
+    have all gone, so an argument's round is the length of its longest path
+    from an argument without parents. One bincount per round."""
+    n = len(skip)
+    degree = np.bincount(dst, minlength=n)
+    degree[skip] = -1
+    rounds = np.full(n, -1, dtype=np.intp)
+    frontier = degree == 0
+    for r in count():
         if not frontier.any():
-            return height
-        height[frontier] = h
-        outdeg[frontier] = -1
-        outdeg -= np.bincount(src[frontier[dst]], minlength=len(left))
-        frontier = outdeg == 0
+            return rounds
+        rounds[frontier] = r
+        degree[frontier] = -1  # taken: never a frontier again
+        degree -= np.bincount(dst[frontier[src]], minlength=n)
+        frontier = degree == 0
 
 
 def _blocks(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, level: np.ndarray, core: int | None, n: int) -> tuple:

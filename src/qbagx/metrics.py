@@ -31,13 +31,9 @@ from .semantics import builtin_semantics, final_strengths
 
 
 def _target_and_achieved(ordering: DesiredOrdering, strengths: Mapping[str, float]):
-    rank = ordering.tier_of()
-    topics = sorted(rank)
-    if len(topics) < 2:
+    if len(ordering.topic_set) < 2:
         raise ValueError("rank correlation needs at least 2 topic arguments")
-    for x in topics:
-        if strengths.get(x) is None:
-            raise ValueError(f"strength of topic {x!r} missing or undefined")
+    rank, topics = ordering.ranked_topics(strengths)
     return [rank[x] for x in topics], [strengths[x] for x in topics]
 
 

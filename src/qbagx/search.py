@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import UndefinedStrengthError, checked_int, checked_object, checked_real, json_document
+from .errors import checked_int, checked_object, checked_real, json_document
 from .explanation import DesiredOrdering, ExplanationQuery, StrengthChange
 from .semantics import PassBuffers, SemanticsSpec, level_pass
 
@@ -116,11 +116,7 @@ def relu_cost(strengths: Mapping[str, float], ordering: DesiredOrdering) -> floa
     Zero exactly when the ordering is weakly satisfied with same-tier ties.
     The scalar reference for OrderingRule.costs.
     """
-    rank = ordering.tier_of()
-    topics = sorted(rank)
-    for x in topics:
-        if strengths.get(x) is None:
-            raise UndefinedStrengthError(f"strength of topic {x!r} missing or undefined")
+    rank, topics = ordering.ranked_topics(strengths)
     cost = 0.0
     for i, x in enumerate(topics):
         for y in topics[i + 1:]:

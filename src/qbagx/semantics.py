@@ -247,7 +247,6 @@ class GraphPlan:
 
     def __init__(self, g: QBAG):
         topology = g.topology
-        self.graph = g
         self.ids, self.index, self.n, self.blocks = topology.ids, topology.index, topology.n, topology.blocks
         self.core = topology.core
         self.acyclic = self.core is None
@@ -263,8 +262,11 @@ class PassBuffers:
     """Scratch memory for passes over one plan at one batch width: `sigma`
     (n x width), on a cyclic plan the core's state (`core_state`: iterates,
     the next sweep, their change and two parts of the aggregate, core rows x
-    width each), and per block views for what a pass under one semantics
-    reads (`views`).
+    width each), and per block, in plan.blocks order, its `views`: the
+    parents buffer, the gathered base rows (None where the rows are a slice)
+    and the influence's work (t1, t2, aggregate, mask). The views are laid
+    out once, the same for every semantics; a pass reads only those its
+    semantics needs.
 
     A fixed-point iteration, a search workspace or an oracle call makes its
     own and passes it to every pass it runs. Buffers are never shared beyond
@@ -277,54 +279,32 @@ class PassBuffers:
     """
 
     def __init__(self, plan: GraphPlan, width: int, memory: tuple | None = None):
-        n = plan.n
         if memory is None:
             rows = max((block[2].shape[0] for block in plan.blocks), default=0)  # w is rows x cols
             cols = max((block[2].shape[1] for block in plan.blocks), default=0)
             core = 0 if plan.core is None else plan.blocks[plan.core][2].shape[0]
-            lines = n + cols + 4 * rows + 5 * core
-            memory = (np.empty(lines * width), np.empty(rows * width, dtype=bool), rows, cols, core)
-        floats, _, rows, cols, core = memory
-        lines = n + cols + 4 * rows + 5 * core
+            size = plan.n + cols + 4 * rows + 5 * core
+            memory = (np.empty(size * width), np.empty(rows * width, dtype=bool), rows, cols, core)
+        floats, flags, rows, cols, core = memory
+        n, size = plan.n, plan.n + cols + 4 * rows + 5 * core
         self.plan, self.width, self.memory = plan, width, memory
-        self.lines = floats[: lines * width].reshape(lines, width)
-        self.sigma = self.lines[:n]
-        self.core_state = self.lines[lines - 5 * core :].reshape(5, core, width)
-        self.spec, self.blocks = None, None
-
-    def views(self, spec: SemanticsSpec) -> tuple:
-        """Per block, in plan.blocks order: the gathered parent strengths,
-        the gathered base scores and the aggregate and influence
-        intermediates (t1, t2, aggregate, mask), each None where a pass
-        under `spec` does not read it. Made on the first pass under a
-        semantics and kept for the next ones."""
-        if spec is not self.spec:
-            n, lines, (_, flags, rows, cols, _) = self.plan.n, self.lines, self.memory
-            t1, t2, agg, tau = (n + cols + k * rows for k in range(4))  # first lines of each buffer
-            product, kind = spec.aggregation == "product", spec.influence.kind
-            mask = flags[: rows * self.width].reshape(rows, self.width) if kind == "p_max" else None
-            blocks = []
-            for r, c, w, *_ in self.plan.blocks:
-                nr, nc = w.shape
-                tau_rows = None if isinstance(r, slice) else lines[tau : tau + nr]
-                if not w.size:  # parentless: no aggregate, and t2 for euler_based only
-                    work = (lines[t1 : t1 + nr], lines[t2 : t2 + nr] if kind == "euler_based" else None, None, None)
-                    blocks.append((None, tau_rows, work))
-                    continue
-                # a product folds its factors 1 - parents into the parents buffer; a sum reads sliced columns in place
-                parents = lines[n : n + nc] if product or not isinstance(c, slice) else None
-                work = (lines[t1 : t1 + nr], lines[t2 : t2 + nr], lines[agg : agg + nr],
-                        None if mask is None else mask[:nr])
-                blocks.append((parents, tau_rows, work))
-            self.spec, self.blocks = spec, tuple(blocks)
-        return self.blocks
+        self.lines = lines = floats[: size * width].reshape(size, width)
+        self.sigma = lines[:n]
+        self.core_state = lines[size - 5 * core :].reshape(5, core, width)
+        t1, t2, agg, tau = (n + cols + k * rows for k in range(4))  # first lines of each buffer
+        mask, views = flags[: rows * width].reshape(rows, width), []
+        for r, _, w, *_ in plan.blocks:
+            nr, nc = w.shape
+            views.append((lines[n : n + nc], None if isinstance(r, slice) else lines[tau : tau + nr],
+                          (lines[t1 : t1 + nr], lines[t2 : t2 + nr], lines[agg : agg + nr], mask[:nr])))
+        self.views = tuple(views)
 
     def narrowed(self, width: int) -> "PassBuffers":
         """The same memory viewed at a smaller batch width."""
         return PassBuffers(self.plan, width, self.memory)
 
 
-# The per-block "views" of a pass without buffers: every step allocates.
+# The per-block views of a pass without buffers: every step allocates.
 _ALLOCATE = (None, None, (None, None, None, None))
 
 
@@ -362,11 +342,12 @@ def level_pass(
     out have shape (n_arguments, batch).
 
     With `buffers` (made for this plan at this batch width) every
-    intermediate goes into them and the pass allocates nothing; without,
-    each step allocates, which is cheaper for a pass that runs once. Each
-    ufunc gets the operands, in the order, of the operator expression it
-    stands for, so the strengths are the same bit for bit either way."""
-    views = (_ALLOCATE,) * len(plan.blocks) if buffers is None else buffers.views(spec)
+    intermediate goes into their views, of which the pass reads those its
+    semantics needs, and the pass allocates nothing; without, each step
+    allocates, which is cheaper for a pass that runs once. Each ufunc gets
+    the operands, in the order, of the operator expression it stands for,
+    so the strengths are the same bit for bit either way."""
+    views = (_ALLOCATE,) * len(plan.blocks) if buffers is None else buffers.views
     _blocks_pass(plan.blocks, views, spec, tau, out)
     return out
 
@@ -427,13 +408,14 @@ def _fixed_point(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The exact forward pass over the blocks before and after the core, and
     synchronous (Jacobi) iteration over the core from its base scores in
-    between (_sweep_core). Returns (buffers.sigma, defined mask).
+    between (_sweep_core), every block in buffers.views. Returns
+    (buffers.sigma, defined mask).
 
     On non-convergence, every core row that is still moving in a column,
     plus everything reachable from one, is marked undefined; stabilized
     parts keep their values.
     """
-    sigma, k, views = buffers.sigma, plan.core, buffers.views(spec)
+    sigma, k, views = buffers.sigma, plan.core, buffers.views
     _blocks_pass(plan.blocks[:k], views[:k], spec, tau, sigma)
     unstable = _sweep_core(plan.blocks[k], views[k], spec, tau, sigma, buffers.core_state)
     _blocks_pass(plan.blocks[k + 1 :], views[k + 1 :], spec, tau, sigma)
@@ -592,13 +574,6 @@ def final_strengths(g: QBAG, spec: SemanticsSpec, method: str = "auto") -> dict[
     return {a: (v if ok else None) for a, v, ok in zip(plan.ids, sigma[:, 0].tolist(), defined[:, 0].tolist())}
 
 
-def _strengths_or_raise(g: QBAG, spec: SemanticsSpec) -> dict[str, float]:
-    out = final_strengths(g, spec)
-    if any(v is None for v in out.values()):
-        raise CyclicGraphError("fixed-point iteration did not converge")
-    return out  # type: ignore[return-value]
-
-
 PRINCIPLES = (
     "directionality",
     "strong_directionality",
@@ -620,7 +595,7 @@ def check_principle(g: QBAG, spec: SemanticsSpec, principle: str, rng_seed: int 
         raise CyclicGraphError("principle checks need an acyclic graph")
     if principle not in PRINCIPLES:
         raise ValueError(f"unknown principle: {principle!r}")
-    sigma = _strengths_or_raise(g, spec)
+    sigma = final_strengths(g, spec)
 
     if principle == "stability":
         for x in g.arguments:
@@ -643,7 +618,7 @@ def check_principle(g: QBAG, spec: SemanticsSpec, principle: str, rng_seed: int 
             y, z = edge
             reach = reachable_from(g, {z}) | {z}
             smaller = make_qbag(g.base_scores, g.attacks - {edge}, g.supports - {edge})
-            sigma2 = _strengths_or_raise(smaller, spec)
+            sigma2 = final_strengths(smaller, spec)
             for x in g.arguments:
                 if x in reach:
                     continue
@@ -671,7 +646,7 @@ def check_principle(g: QBAG, spec: SemanticsSpec, principle: str, rng_seed: int 
                     candidates.append(take)
             for sub in candidates:
                 kept = set(g.arguments) - set(sub)
-                sigma2 = _strengths_or_raise(restrict(g, kept), spec)
+                sigma2 = final_strengths(restrict(g, kept), spec)
                 if abs(sigma[x] - sigma2[x]) > CHECK_TOL:
                     return {"principle": principle, "argument": x, "removed": sub,
                             "full": sigma[x], "restricted": sigma2[x]}

@@ -1,14 +1,18 @@
 """Print the first-pass results of a benchmark workload, to compare two trees.
 
     python3 tests/dump_results.py exact 1 7 41 > results.txt
+    python3 tests/dump_results.py all > results.txt
 
-Run it from the root of each tree and compare the outputs with cmp. The
-package comes from ./src and the workloads from perfbench/workloads.py,
-imported by path. For each seed the workload is set up and one pass of its
-operations runs in order, as the benchmark's first pass does: an operation
-that raises one of the workload's OP_ERRORS gives None. The workload's
-checks then add their quality fields to each result. Printed per seed: the
-pass's counts, the check errors, and the repr of every result.
+`all` dumps the customary set of a byte-identity check: eval on seeds 1
+and 7, explain on seed 1 and exact on seeds 1 and 41. Run each tree's copy
+of this script and compare the outputs with cmp. The package comes from
+the src/ of the tree the script sits in, whatever the working directory,
+and the workloads from its perfbench/workloads.py, imported by path.
+For each seed the workload is set up and one pass of its operations runs
+in order, as the benchmark's first pass does: an operation that raises one
+of the workload's OP_ERRORS gives None. The workload's checks then add
+their quality fields to each result. Printed per seed: the pass's counts,
+the check errors, and the repr of every result.
 """
 
 from __future__ import annotations
@@ -49,12 +53,21 @@ def dump(workload: str, seed: int) -> None:
         print(k, item.kind, repr(result))
 
 
+# What `all` dumps: each workload with its seeds
+CUSTOMARY = (("eval", (1, 7)), ("explain", (1,)), ("exact", (1, 41)))
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) < 2 or argv[0] not in WORKLOADS:
-        print(f"usage: {Path(__file__).name} {{{','.join(WORKLOADS)}}} SEED...", file=sys.stderr)
+    if argv == ["all"]:
+        runs = CUSTOMARY
+    elif len(argv) >= 2 and argv[0] in WORKLOADS:
+        runs = ((argv[0], argv[1:]),)
+    else:
+        print(f"usage: {Path(__file__).name} {{{','.join(WORKLOADS)}}} SEED... | all", file=sys.stderr)
         return 2
-    for seed in argv[1:]:
-        dump(argv[0], int(seed))
+    for workload, seeds in runs:
+        for seed in seeds:
+            dump(workload, int(seed))
     return 0
 
 

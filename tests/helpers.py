@@ -454,8 +454,9 @@ def assert_same_blocks(blocks, reference) -> None:
 def plan_reference_cases() -> list[q.QBAG]:
     """Graphs to compare the compile with its references on: random_dag
     graphs, layered graphs with and without back edges, a self-loop, two
-    disjoint cycles, two cycles in series, a cycle with no parent outside
-    it, isolated arguments, one argument and the empty graph."""
+    disjoint cycles, two cycles in series, a cycle followed by three levels,
+    a cycle with no parent outside it, isolated arguments, one argument and
+    the empty graph."""
     graphs = [random_dag(seed, 1, 14)[0] for seed in range(40)]
     for seed, struct in enumerate(((4, 8, 4), (8, 32, 16, 8), (3, 1, 5, 2, 2))):
         inst = q.generate(q.GenSpec(q.structure(struct), "random", seed))
@@ -473,6 +474,11 @@ def plan_reference_cases() -> list[q.QBAG]:
         q.make_qbag({"a": 0.1, "b": 0.7, "c": 0.4, "m": 0.5, "p": 0.8, "q": 0.3, "r": 0.6, "z": 0.2},
                     attacks=[("c", "b"), ("m", "q"), ("q", "r")],
                     supports=[("a", "c"), ("b", "c"), ("c", "m"), ("r", "q"), ("p", "r"), ("r", "z")]),
+        # a cycle with a parent before it and, after it, a tail of two
+        # arguments plus a branch: heights 2, 1 and 0 after the core
+        q.make_qbag({"a": 0.6, "b": 0.3, "u": 0.5, "v": 0.4, "w": 0.7, "x": 0.2, "y": 0.8},
+                    attacks=[("y", "x"), ("u", "v"), ("a", "x")],
+                    supports=[("x", "y"), ("y", "u"), ("v", "w"), ("u", "b")]),
         # a support loop with nothing before it
         q.make_qbag({"x": 0.3, "y": 0.4, "z": 0.5}, attacks=[("y", "z")], supports=[("x", "y"), ("y", "x")]),
         q.make_qbag({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}, attacks=[("c", "a")]),

@@ -1,5 +1,7 @@
 import concurrent.futures
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -36,6 +38,14 @@ def test_eval_csv_format(fig_file, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "argument,strength"
     assert lines[1] == "a,2.0"
+
+
+def test_eval_csv_quotes_ids_a_csv_reader_would_split(tmp_path, capsys):
+    graph = tmp_path / "quoted.json"
+    graph.write_bytes(q.serialize_qbag(q.make_qbag({"a,b": 0.5, 'say "hi"': 0.25}, attacks=[("a,b", 'say "hi"')])))
+    code, out, _ = run_cli(capsys, "eval", "--graph", str(graph), "--semantics", "dfquad", "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["argument", "strength"], ["a,b", "0.5"], ['say "hi"', "0.125"]]
 
 
 def test_eval_byte_identical_reruns(fig_file, capsys):
@@ -102,6 +112,19 @@ def test_explain_trajectory_csv(fig_file, tmp_path, capsys):
     lines = traj.read_text().strip().splitlines()
     assert lines[0] == "iteration,cost"
     assert len(lines) > 1
+
+
+def test_explain_trajectory_is_recorded_without_a_search_config(fig_file, tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    code, out, _ = run_cli(
+        capsys, "explain", "--graph", fig_file, "--semantics", "naive",
+        "--ordering", "c>b", "--mutable", "a,e", "--trajectory", str(traj),
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(traj.read_text())))
+    costs = json.loads(out)["trajectory"]
+    assert rows[0] == ["iteration", "cost"] and costs
+    assert rows[1:] == [[str(i), repr(c)] for i, c in enumerate(costs, start=1)]
 
 
 def test_generate_writes_graphs_and_sidecars(tmp_path, capsys):
@@ -435,3 +458,5 @@ def test_cyclic_eval_reports_undefined(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "eval", "--graph", str(path), "--semantics", spec_doc)
     assert code == 0
     assert json.loads(out)["strengths"] == {"x": None, "y": None}
+    code, out, _ = run_cli(capsys, "eval", "--graph", str(path), "--semantics", spec_doc, "--format", "csv")
+    assert code == 0 and out == "argument,strength\nx,\ny,\n"  # an undefined strength is an empty field

@@ -87,6 +87,17 @@ def test_correlations_need_two_topics():
         q.spearman_rho(target, {"a": 1.0})
 
 
+def test_an_undefined_topic_strength_is_one_error_for_correlations_and_cost():
+    target = q.ordering_from_spec("a>b>c")
+    for strengths in ({"a": 0.9, "b": None, "c": 0.1}, {"a": 0.9, "c": 0.1}):
+        for measure in (q.kendall_tau, q.spearman_rho, lambda ordering, s: q.relu_cost(s, ordering)):
+            with pytest.raises(q.UndefinedStrengthError, match="strength of topic 'b' missing or undefined"):
+                measure(target, strengths)
+    with pytest.raises(ValueError) as fewer:  # fewer than two topics stays a plain ValueError
+        q.kendall_tau(q.ordering_from_tiers([["a"]]), {})
+    assert not isinstance(fewer.value, q.UndefinedStrengthError)
+
+
 def test_correlations_permutation_consistent():
     target = q.ordering_from_spec("a>b>c>d")
     strengths = {"a": 0.9, "b": 0.1, "c": 0.5, "d": 0.3}
